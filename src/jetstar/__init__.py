@@ -46,7 +46,6 @@ from .whitney import (
     WhitneyAlgebra,
     WhitneyClass,
     builtin_subset,
-    flat_ideal_member,
     is_flat,
     verify_ideal_stability,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "JetEvaluator",
     "WhitneyAlgebra",
     "WhitneyClass",
-    "flat_ideal_member",
     "is_flat",
     "verify_ideal_stability",
     "JetstarError",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 from . import __version__, derham, homology
 from .elements import TruncationPolicy
-from .errors import JetstarError
+from .errors import GuardrailError, JetstarError
 from .fedosov import (
     BUILTIN_CONNECTIONS,
     ConnectionInput,
@@ -193,8 +193,10 @@ def _render_text(report):
             lines.append("  duality table (q, dim H^delta_q, dim H^{2n-q}):")
             for row in entry["duality"]:
                 lines.append(f"    {tuple(row)}")
-            if entry.get("hochschild") is not None:
-                hh = entry["hochschild"]
+            hh = entry.get("hochschild")
+            if hh is not None and "skipped" in hh:
+                lines.append(f"  hochschild: skipped ({hh['skipped']})")
+            elif hh is not None:
                 lines.append(f"  hochschild dims (per component): {hh['dims']}")
                 lines.append(f"  caveat: {hh['caveat']}")
     return "\n".join(lines) + "\n"
@@ -294,7 +296,10 @@ def cmd_homology(config, with_hochschild):
             walg = WhitneyAlgebra(single, walg_policy)
             fd = build_A(ConnectionInput.flat(n), pt, walg_policy)
             algebra = homology.FiniteAlgebra(walg, hbar_max=1, fd=fd, total_cap=2)
-            entry["hochschild"] = homology.hochschild_dims(algebra, 1)
+            try:
+                entry["hochschild"] = homology.hochschild_dims(algebra, 1)
+            except GuardrailError as exc:
+                entry["hochschild"] = {"skipped": str(exc)}
             entry["hochschild"]["components"] = len(subset.components())
         subsets.append(entry)
     report = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .elements import MixedElement
+from .elements import MixedElement, add_term
 from .errors import DimensionMismatch, ValidationError
 from .scalars import Scalar, rational
 from .whitney import monomials_up_to
@@ -78,12 +78,7 @@ class WhitneyForm:
         for left, right in zip(self.comps, other.comps):
             data = dict(left)
             for forms, poly in right.items():
-                acc = data.get(forms)
-                total = poly if acc is None else acc + poly
-                if total.is_zero():
-                    data.pop(forms, None)
-                else:
-                    data[forms] = total
+                add_term(data, forms, poly)
             comps.append(data)
         return WhitneyForm(self.algebra, self.degree, self.cap, comps)
 
@@ -154,13 +149,7 @@ def d(form):
                 below = sum(1 for f in forms if f < j)
                 if below % 2:
                     dp = -dp
-                key = tuple(sorted(forms + (j,)))
-                acc = out.get(key)
-                total = dp if acc is None else acc + dp
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                add_term(out, tuple(sorted(forms + (j,))), dp)
         comps.append(out)
     return WhitneyForm(algebra, form.degree + 1, form.cap - 1, comps)
 
@@ -293,13 +282,7 @@ def hodge_star(form, pt):
         out = {}
         for forms, poly in data.items():
             for target, coeff in table[forms]:
-                scaled = poly.scale(coeff)
-                acc = out.get(target)
-                total = scaled if acc is None else acc + scaled
-                if total.is_zero():
-                    out.pop(target, None)
-                else:
-                    out[target] = total
+                add_term(out, target, poly.scale(coeff))
         comps.append(out)
     return WhitneyForm(algebra, algebra.subset.dim - form.degree, form.cap, comps)
 
@@ -329,13 +312,7 @@ def brylinski_delta(form, pt):
                     continue
                 if m % 2:
                     bracket = -bracket
-                key = forms[:m] + forms[m + 1:]
-                acc = out.get(key)
-                total = bracket if acc is None else acc + bracket
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                add_term(out, forms[:m] + forms[m + 1:], bracket)
         comps.append(out)
     return WhitneyForm(algebra, form.degree - 1, max(form.cap - 1, 0), comps)
 
@@ -485,8 +462,6 @@ def random_form(rng, algebra, degree, cap, max_terms=3):
             forms = wedges[rng.randrange(len(wedges))]
             alpha = monos[rng.randrange(len(monos))]
             coeff = Scalar(rng.randint(-3, 3))
-            poly = MixedElement.monomial(dim, coeff, alpha=alpha)
-            acc = data.get(forms)
-            data[forms] = poly if acc is None else acc + poly
-        comps.append({k: v for k, v in data.items() if not v.is_zero()})
+            add_term(data, forms, MixedElement.monomial(dim, coeff, alpha=alpha))
+        comps.append(data)
     return WhitneyForm(algebra, degree, cap, comps)

@@ -104,6 +104,60 @@ def _sort_key(key):
     return (len(forms), forms, k, sum(alpha), alpha, sum(beta), beta)
 
 
+def add_term(terms, key, coeff):
+    """Add ``coeff`` at ``key`` of a sparse term map, dropping a zero sum.
+
+    Works for any coefficient type with ``+`` and ``is_zero`` (scalars, and
+    elements used as coefficients of form or chain maps).
+    """
+    acc = terms.get(key)
+    total = coeff if acc is None else acc + coeff
+    if total.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
+def sum_of_products(dim, pairs, policy):
+    """The element  sum left.mul(right)  over ``(left, right)`` pairs.
+
+    Products are graded-commutative (Koszul wedge signs) and accumulate into
+    one term map.  ``policy`` is applied once, to each final product key, so
+    a factor carrying an h shift is truncated by the h power of the product,
+    never by that of the unshifted factors.
+    """
+    if policy.dim != dim:
+        raise DimensionMismatch("policy dimension does not match elements")
+    keeps = policy.keeps
+    terms = {}
+    for left, right in pairs:
+        right_terms = right.terms.items()
+        for (a1, b1, k1, s1), c1 in left.terms.items():
+            for (a2, b2, k2, s2), c2 in right_terms:
+                forms, sign = _merge_forms(s1, s2)
+                if forms is None:
+                    continue
+                key = (
+                    tuple(x + y for x, y in zip(a1, a2)),
+                    tuple(x + y for x, y in zip(b1, b2)),
+                    k1 + k2,
+                    forms,
+                )
+                if not keeps(key):
+                    continue
+                coeff = c1 * c2
+                if sign < 0:
+                    coeff = -coeff
+                # add_term inlined: this is the innermost loop of every product
+                acc = terms.get(key)
+                new = coeff if acc is None else acc + coeff
+                if new.is_zero():
+                    terms.pop(key, None)
+                else:
+                    terms[key] = new
+    return MixedElement._raw(dim, terms)
+
+
 class MixedElement:
     """Immutable sparse element; see module docstring for the term model."""
 
@@ -222,11 +276,7 @@ class MixedElement:
         self._check_same_dim(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = terms.get(key, Scalar.zero()) + coeff
-            if new.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            add_term(terms, key, coeff)
         return MixedElement._raw(self.dim, terms)
 
     def __neg__(self):
@@ -248,32 +298,7 @@ class MixedElement:
     def mul(self, other, policy):
         """Graded-commutative product, eagerly truncated by ``policy``."""
         self._check_same_dim(other)
-        if policy.dim != self.dim:
-            raise DimensionMismatch("policy dimension does not match elements")
-        terms = {}
-        for (a1, b1, k1, s1), c1 in self.terms.items():
-            for (a2, b2, k2, s2), c2 in other.terms.items():
-                forms, sign = _merge_forms(s1, s2)
-                if forms is None:
-                    continue
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                    k1 + k2,
-                    forms,
-                )
-                if not policy.keeps(key):
-                    continue
-                coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                acc = terms.get(key)
-                new = coeff if acc is None else acc + coeff
-                if new.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
-        return MixedElement._raw(self.dim, terms)
+        return sum_of_products(self.dim, ((self, other),), policy)
 
     def hbar_shift(self, shift, policy=None):
         """Multiply by h**shift; truncates when a policy is given."""
@@ -302,13 +327,7 @@ class MixedElement:
                 continue
             new_exps = tuple(v - 1 if m == pos else v for m, v in enumerate(exps))
             key = (new_exps, b, k, s) if kind == "base" else (a, new_exps, k, s)
-            coeff = c * e
-            acc = terms.get(key)
-            new = coeff if acc is None else acc + coeff
-            if new.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            add_term(terms, key, c * e)
         return MixedElement._raw(self.dim, terms)
 
     def grade_filter(self, s, k):
@@ -316,12 +335,6 @@ class MixedElement:
         return MixedElement._raw(
             self.dim,
             {key: c for key, c in self.terms.items() if sum(key[1]) == s and key[2] == k},
-        )
-
-    def form_component(self, degree):
-        return MixedElement._raw(
-            self.dim,
-            {key: c for key, c in self.terms.items() if len(key[3]) == degree},
         )
 
     def fiber_zero_part(self):
@@ -381,13 +394,7 @@ class MixedElement:
                         power = power * offs[pos]
                 expansions = new_exp
             for alpha, coeff in expansions:
-                key = (alpha, b, k, s)
-                acc = result.get(key)
-                new = coeff if acc is None else acc + coeff
-                if new.is_zero():
-                    result.pop(key, None)
-                else:
-                    result[key] = new
+                add_term(result, (alpha, b, k, s), coeff)
         return MixedElement._raw(self.dim, result)
 
     def substitute_base(self, j, value):
@@ -401,12 +408,7 @@ class MixedElement:
             if coeff.is_zero():
                 continue
             key = (tuple(v if m != pos else 0 for m, v in enumerate(a)), b, k, s)
-            acc = result.get(key)
-            new = coeff if acc is None else acc + coeff
-            if new.is_zero():
-                result.pop(key, None)
-            else:
-                result[key] = new
+            add_term(result, key, coeff)
         return MixedElement._raw(self.dim, result)
 
     def base_degree_filter(self, cap):

@@ -113,7 +113,6 @@ def builtin_connection(name, half_dim):
 
 def load_connection_json(data):
     half_dim = int(data["half_dim"])
-    dim = 2 * half_dim
     from .parsing import parse_element
 
     wide = TruncationPolicy(half_dim, 1 << 20, 1 << 20, 1 << 20)
@@ -127,7 +126,6 @@ def load_connection_json(data):
         pt = PoissonTensor.from_matrix_strings(half_dim, data["pi"])
     else:
         pt = PoissonTensor.darboux(half_dim)
-    _ = dim
     return conn, pt
 
 
@@ -235,9 +233,9 @@ def curvature_weyl_route(conn, pt, policy):
     return (exterior_d(ghat, policy) + ihbar_square(ghat, pt, policy)).truncate(policy)
 
 
-def nabla(a, conn, pt, policy, _gamma_hat=None):
+def nabla(a, conn, pt, policy):
     """Lifted symplectic connection  d_x a + (i/h)[GammaHat, a]."""
-    ghat = _gamma_hat if _gamma_hat is not None else gamma_hat(conn, policy)
+    ghat = gamma_hat(conn, policy)
     result = exterior_d(a, policy)
     if not ghat.is_zero():
         result = result + ihbar_commutator(ghat, a, pt, policy)
@@ -331,7 +329,7 @@ def build_A(conn, pt, policy):
 
     r = MixedElement.zero(dim)
     for _ in range(policy.fedosov_order + 2):
-        source = riemann + nabla(r, conn, pt, policy, _gamma_hat=ghat)
+        source = riemann + nabla(r, conn, pt, policy)
         if not r.is_zero():
             source = source + ihbar_square(r, pt, policy)
         r_next = delta_inv(source).truncate(policy)
@@ -358,7 +356,8 @@ def quantize(f, fd):
     The recursion  a = f + delta_inv(nabla a + (i/h)[r, a])  has a linear
     right-hand side, so the fixed point is reached by accumulating
     increments: each round raises the lowest undetermined Fedosov degree
-    by one and only processes the newly added stratum.
+    by one and only processes the newly added stratum.  The commutator is
+    bilinear, so GammaHat and r act through one (i/h)[GammaHat + r, -].
     """
     if not f.is_base_series():
         raise ValidationError("quantize expects a base series")
@@ -366,14 +365,13 @@ def quantize(f, fd):
     if cached is not None:
         return cached
     policy = fd.policy
+    twist = fd.gamma_hat + fd.r
     total = f
     delta = f
     for _ in range(policy.fedosov_order + 2):
         source = exterior_d(delta, policy)
-        if not fd.gamma_hat.is_zero():
-            source = source + ihbar_commutator(fd.gamma_hat, delta, fd.pt, policy)
-        if not fd.r.is_zero():
-            source = source + ihbar_commutator(fd.r, delta, fd.pt, policy)
+        if not twist.is_zero():
+            source = source + ihbar_commutator(twist, delta, fd.pt, policy)
         delta = delta_inv(source).truncate(policy)
         if delta.is_zero():
             break

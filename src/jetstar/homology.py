@@ -18,7 +18,7 @@ from itertools import permutations, product
 
 from . import linalg
 from .derham import WhitneyForm, brylinski_delta
-from .elements import MixedElement
+from .elements import MixedElement, add_term
 from .errors import GuardrailError, ValidationError
 from .fedosov import star
 from .scalars import Scalar, rational
@@ -96,14 +96,8 @@ class FiniteAlgebra:
                 entry = {}
                 for (gamma, k), coeff in combo.items():
                     idx = self._keep(gamma, ja + jb + k)
-                    if idx is None:
-                        continue
-                    acc = entry.get(idx)
-                    total = coeff if acc is None else acc + coeff
-                    if total.is_zero():
-                        entry.pop(idx, None)
-                    else:
-                        entry[idx] = total
+                    if idx is not None:
+                        add_term(entry, idx, coeff)
                 if entry:
                     self._table[(a_idx, b_idx)] = entry
 
@@ -132,13 +126,11 @@ class FiniteAlgebra:
                     left = {}
                     for m, w in ab.items():
                         for t, v in self.product(m, c).items():
-                            left[t] = left.get(t, Scalar.zero()) + w * v
+                            add_term(left, t, w * v)
                     right = {}
                     for m, w in self.product(b, c).items():
                         for t, v in self.product(a, m).items():
-                            right[t] = right.get(t, Scalar.zero()) + w * v
-                    left = {t: v for t, v in left.items() if not v.is_zero()}
-                    right = {t: v for t, v in right.items() if not v.is_zero()}
+                            add_term(right, t, w * v)
                     if left != right:
                         raise ValidationError(
                             "product table is not associative at the chosen caps"
@@ -198,11 +190,7 @@ class ChainVector:
             raise ValidationError("chain degrees disagree")
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            total = terms.get(key, Scalar.zero()) + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
+            add_term(terms, key, coeff)
         return ChainVector(self.q, terms, self.normalized and other.normalized)
 
     def __sub__(self, other):
@@ -232,13 +220,7 @@ class ChainVector:
             m = marked[0]
             alpha, _ = algebra.basis[key[m]]
             twin = algebra.element_index(alpha, 0)
-            new_key = key[:m] + (twin,) + key[m + 1:]
-            acc = terms.get(new_key)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = total
+            add_term(terms, key[:m] + (twin,) + key[m + 1:], coeff)
         return ChainVector(self.q, terms, self.normalized)
 
     def __eq__(self, other):
@@ -250,25 +232,11 @@ class ChainVector:
         return f"ChainVector(q={self.q}, terms={len(self.terms)})"
 
 
-def _normalize_key(key, algebra):
-    """None if the tensor is degenerate (unit in a position >= 1)."""
-    for i in key[1:]:
-        if i == algebra.unit:
-            return None
-    return key
-
-
 def _accumulate(terms, key, coeff, algebra, normalized):
-    if normalized:
-        key = _normalize_key(key, algebra)
-        if key is None:
-            return
-    acc = terms.get(key)
-    total = coeff if acc is None else acc + coeff
-    if total.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = total
+    """Add a chain term; the normalized complex drops degenerate tensors
+    (the unit in a position >= 1)."""
+    if not (normalized and algebra.unit in key[1:]):
+        add_term(terms, key, coeff)
 
 
 def hochschild_b(chain, algebra):
@@ -345,23 +313,12 @@ def mu(chain, algebra):
                     above = sum(1 for f in forms if f > j)
                     if above % 2:
                         term = -term
-                    new_forms = tuple(sorted(forms + (j,)))
-                    acc = next_forms.get(new_forms)
-                    total = term if acc is None else acc + term
-                    if total.is_zero():
-                        next_forms.pop(new_forms, None)
-                    else:
-                        next_forms[new_forms] = total
+                    add_term(next_forms, tuple(sorted(forms + (j,))), term)
             partial_forms = next_forms
             if not partial_forms:
                 break
         for forms, poly in partial_forms.items():
-            acc = data.get(forms)
-            total = poly if acc is None else acc + poly
-            if total.is_zero():
-                data.pop(forms, None)
-            else:
-                data[forms] = total
+            add_term(data, forms, poly)
     return WhitneyForm(walg, q, cap, [data])
 
 

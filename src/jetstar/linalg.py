@@ -8,6 +8,7 @@ forms and reports are reproducible.
 
 from __future__ import annotations
 
+from .elements import add_term
 from .scalars import Scalar
 
 
@@ -88,11 +89,7 @@ def rank_sparse(rows, ncols):
                 pivot_of_col[col] = {c: v * inv for c, v in row.items() if not v.is_zero()}
                 count += 1
                 break
-            factor = row[col]
+            factor = -row[col]
             for c, v in owner.items():
-                new = row.get(c, Scalar.zero()) - factor * v
-                if new.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = new
+                add_term(row, c, factor * v)
     return count

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import derham, homology
-from .elements import MixedElement, TruncationPolicy
+from .elements import MixedElement, TruncationPolicy, sum_of_products
 from .errors import JetstarError
 from .fedosov import (
     ConnectionInput,
@@ -31,6 +32,7 @@ from .weyl import (
     delta_op,
     moyal,
     moyal_base,
+    pi_hat,
     poisson_bracket_base,
     star_commutator,
 )
@@ -100,17 +102,28 @@ def random_weyl_element(rng, policy, max_terms=5, with_forms=False, with_hbar=Tr
     return MixedElement(policy.dim, terms) if terms else MixedElement.zero(dim)
 
 
+def _check(results, seed, trials, suite, label, name, fn, count=None):
+    """Run ``fn`` on ``count`` (default ``trials``) trials and record the result.
+
+    The trials share one rng seeded from (seed, suite, label, name); a
+    ``label`` (the subset name, or None) also tags the reported check name.
+    """
+    tag = suite if label is None else f"{suite}:{label}"
+    rng = _rng(seed, f"{tag}:{name}")
+    count = trials if count is None else count
+    failed = sum(0 if fn(rng) else 1 for _ in range(count))
+    results.append(
+        CheckResult(
+            suite, name if label is None else f"{name}[{label}]", count, failed == 0,
+            f"{failed}/{count} trials failed" if failed else "",
+        )
+    )
+
+
 def _fiber_poisson(a, b, pt, policy):
-    total = MixedElement.zero(a.dim)
-    for i, j, w in pt.pairs:
-        da = a.partial("fiber", i + 1)
-        if da.is_zero():
-            continue
-        db = b.partial("fiber", j + 1)
-        if db.is_zero():
-            continue
-        total = total + da.mul(db, policy).scale(w)
-    return total
+    """Pi^{ij} (d_{y_i} a)(d_{y_j} b): the k = 1 level of the Moyal sum."""
+    pairs = [(u.scale(w), v) for w, u, v in pi_hat(a, b, pt)]
+    return sum_of_products(a.dim, pairs, policy)
 
 
 def _scalar_form_part(a):
@@ -132,17 +145,7 @@ def suite_weyl(options):
     pt = options.get("poisson") or PoissonTensor.darboux(n)
     results = []
 
-    def check(name, fn, count=None):
-        rng = _rng(seed, f"weyl:{name}")
-        count = trials if count is None else count
-        failed = 0
-        detail = ""
-        for _ in range(count):
-            if not fn(rng):
-                failed += 1
-        if failed:
-            detail = f"{failed}/{count} trials failed"
-        results.append(CheckResult("weyl", name, count, failed == 0, detail))
+    check = partial(_check, results, seed, trials, "weyl", None)
 
     def mul_associative(rng):
         a = random_weyl_element(rng, policy)
@@ -265,16 +268,7 @@ def suite_fedosov(options):
     fd = build_A(conn, pt, policy)
     dim = policy.dim
 
-    def check(name, fn, count=None):
-        rng = _rng(seed, f"fedosov:{name}")
-        count = trials if count is None else count
-        failed = sum(0 if fn(rng) else 1 for _ in range(count))
-        results.append(
-            CheckResult(
-                "fedosov", name, count, failed == 0,
-                "" if failed == 0 else f"{failed}/{count} trials failed",
-            )
-        )
+    check = partial(_check, results, seed, trials, "fedosov", None)
 
     def rand_poly(rng, deg=3):
         return random_base_poly(rng, dim, deg)
@@ -401,18 +395,7 @@ def suite_whitney(options):
         subset, cfg, policy, pt, fd = _whitney_env(name)
         walg = WhitneyAlgebra(subset, policy)
         dim = subset.dim
-        label = name
-
-        def check(check_name, fn, count=None):
-            rng = _rng(seed, f"whitney:{label}:{check_name}")
-            count = trials if count is None else count
-            failed = sum(0 if fn(rng) else 1 for _ in range(count))
-            results.append(
-                CheckResult(
-                    "whitney", f"{check_name}[{label}]", count, failed == 0,
-                    "" if failed == 0 else f"{failed}/{count} trials failed",
-                )
-            )
+        check = partial(_check, results, seed, trials, "whitney", name)
 
         def exact_sequence(rng):
             ev = walg.evaluator(order=cfg["flat_order"])
@@ -552,18 +535,7 @@ def suite_derham(options):
         pt = PoissonTensor.darboux(n)
         walg = WhitneyAlgebra(subset, policy)
         dim = subset.dim
-        label = name
-
-        def check(check_name, fn, count=None):
-            rng = _rng(seed, f"derham:{label}:{check_name}")
-            count = trials if count is None else count
-            failed = sum(0 if fn(rng) else 1 for _ in range(count))
-            results.append(
-                CheckResult(
-                    "derham", f"{check_name}[{label}]", count, failed == 0,
-                    "" if failed == 0 else f"{failed}/{count} trials failed",
-                )
-            )
+        check = partial(_check, results, seed, trials, "derham", name)
 
         def d_squared(rng):
             q = rng.randint(0, dim - 2)
@@ -656,18 +628,7 @@ def suite_homology(options):
 
     for name in subsets:
         walg, pt, fd, comm, defo = _homology_env(name)
-        label = name
-
-        def check(check_name, fn, count=None):
-            rng = _rng(seed, f"homology:{label}:{check_name}")
-            count = trials if count is None else count
-            failed = sum(0 if fn(rng) else 1 for _ in range(count))
-            results.append(
-                CheckResult(
-                    "homology", f"{check_name}[{label}]", count, failed == 0,
-                    "" if failed == 0 else f"{failed}/{count} trials failed",
-                )
-            )
+        check = partial(_check, results, seed, trials, "homology", name)
 
         def b_squared(rng):
             algebra = comm if rng.random() < 0.5 else defo

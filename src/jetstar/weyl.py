@@ -5,10 +5,15 @@ convention
 
     a o b = sum_k ((-i*h/2)^k / k!) mu(PiHat^k (a (x) b)),
 
-the graded commutator helpers with the exact 1/h division used by flat
-connections, the grading/filtration utilities, and the homotopy pair
-delta_op / delta_inv.  With this convention [y_i, y_j] = -i*h*Pi^{ij} on
-the nose and the product is associative modulo the truncation policy.
+computed as written: the levels PiHat^k are built by repeated
+:func:`pi_hat`, each level becomes (h^k-shifted, weighted) factor pairs, and
+one :func:`~jetstar.elements.sum_of_products` call multiplies and sums every
+pair, applying the truncation policy once to each final term.  Laurent h
+windows (``hbar_min < 0``) are therefore exact.  Also provided: the graded
+commutator helpers with the exact 1/h division used by flat connections,
+the grading/filtration utilities, and the homotopy pair delta_op /
+delta_inv.  With this convention [y_i, y_j] = -i*h*Pi^{ij} on the nose and
+the product is associative modulo the truncation policy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 
 from . import linalg
-from .elements import MixedElement
+from .elements import MixedElement, add_term, sum_of_products
 from .errors import DimensionMismatch, ValidationError
 from .scalars import Scalar, rational
 
@@ -129,42 +134,30 @@ def _contraction_levels(a, b, pt, policy):
         yield k, level
         nxt = {}
         for (u, v), w in level.items():
-            for i, j, piw in pt.pairs:
-                du = u.partial("fiber", i + 1)
-                if du.is_zero():
-                    continue
-                dv = v.partial("fiber", j + 1)
-                if dv.is_zero():
-                    continue
-                key = (du, dv)
-                acc = nxt.get(key)
-                weight = w * piw
-                nxt[key] = weight if acc is None else acc + weight
-        level = {key: w for key, w in nxt.items() if not w.is_zero()}
+            for piw, du, dv in pi_hat(u, v, pt):
+                add_term(nxt, (du, dv), w * piw)
+        level = nxt
         k += 1
 
 
 def moyal(a, b, pt, policy):
     """Moyal-Weyl product, eagerly truncated by the policy.
 
+    Level k of the contraction contributes the pairs
+    ((-i/2)^k / k! * w * h^k * u, v); all levels go through one
+    sum_of_products call, so the policy sees each final key exactly once.
     Form-valued inputs are multiplied with the usual Koszul wedge signs; the
     fiber contractions themselves are parity-neutral.
     """
-    result = MixedElement.zero(a.dim)
     half = Scalar(rational(-1, 2)) * Scalar.i()  # -i/2
     prefactor = Scalar.one()
-    factorial = 1
+    pairs = []
     for k, level in _contraction_levels(a, b, pt, policy):
         if k > 0:
-            prefactor = prefactor * half
-            factorial *= k
-        coeff = prefactor / Scalar(factorial)
-        layer = MixedElement.zero(a.dim)
+            prefactor = prefactor * half / Scalar(k)
         for (u, v), w in level.items():
-            layer = layer + u.mul(v, policy).scale(w)
-        if not layer.is_zero():
-            result = result + layer.scale(coeff).hbar_shift(k, policy)
-    return result.truncate(policy)
+            pairs.append((u.scale(w * prefactor).hbar_shift(k), v))
+    return sum_of_products(a.dim, pairs, policy)
 
 
 def star_commutator(a, b, pt, policy):
@@ -178,28 +171,29 @@ def graded_commutator_one_form(one_form, a, pt, policy):
 
 
 def ihbar_commutator(one_form, a, pt, policy):
-    """(i/h)[B, a] computed without losing the top h order.
-
-    The commutator is evaluated under caps loosened by one h power (two
-    Fedosov degrees); its pointwise layer cancels exactly, so division by h
-    is exact and the result is re-truncated to the original policy.
-    """
+    """(i/h)[B, a] computed without losing the top h order."""
     wide = policy.extended(extra_hbar=1, extra_fedosov=2)
     comm = graded_commutator_one_form(one_form, a, pt, wide)
-    lowest = min((k for _, _, k, _ in comm.terms), default=policy.hbar_min + 1)
-    if lowest <= policy.hbar_min:
-        raise ValidationError("commutator with a one-form had a nonzero pointwise layer")
-    return comm.hbar_shift(-1).scale(Scalar.i()).truncate(policy)
+    return _divide_ihbar(comm, policy, "commutator with a one-form")
 
 
 def ihbar_square(one_form, pt, policy):
     """(i/h)(B o B) for an odd 1-form B; the pointwise square vanishes."""
     wide = policy.extended(extra_hbar=1, extra_fedosov=2)
-    square = moyal(one_form, one_form, pt, wide)
-    lowest = min((k for _, _, k, _ in square.terms), default=policy.hbar_min + 1)
+    return _divide_ihbar(moyal(one_form, one_form, pt, wide), policy, "odd square")
+
+
+def _divide_ihbar(value, policy, what):
+    """(i/h) * value, re-truncated to ``policy``.
+
+    ``value`` is computed under caps loosened by one h power (two Fedosov
+    degrees); its pointwise layer must cancel exactly, so the division by h
+    is exact and no retained order is corrupted.
+    """
+    lowest = min((k for _, _, k, _ in value.terms), default=policy.hbar_min + 1)
     if lowest <= policy.hbar_min:
-        raise ValidationError("odd square had a nonzero pointwise layer")
-    return square.hbar_shift(-1).scale(Scalar.i()).truncate(policy)
+        raise ValidationError(f"{what} had a nonzero pointwise layer")
+    return value.hbar_shift(-1).scale(Scalar.i()).truncate(policy)
 
 
 def fedosov_degree(a):
@@ -218,13 +212,7 @@ def delta_op(a):
             sign = -1 if below % 2 else 1
             new_beta = tuple(v - 1 if m == pos else v for m, v in enumerate(beta))
             key = (alpha, new_beta, k, tuple(sorted(forms + (pos,))))
-            add = coeff * (e if sign > 0 else -e)
-            acc = terms.get(key)
-            new = add if acc is None else acc + add
-            if new.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            add_term(terms, key, coeff * (e if sign > 0 else -e))
     return MixedElement._raw(a.dim, terms)
 
 
@@ -248,40 +236,24 @@ def delta_inv(a):
             new_beta = tuple(v + 1 if q == pos else v for q, v in enumerate(beta))
             key = (alpha, new_beta, k, forms[:m] + forms[m + 1:])
             add = coeff * norm
-            if sign < 0:
-                add = -add
-            acc = terms.get(key)
-            new = add if acc is None else acc + add
-            if new.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            add_term(terms, key, add if sign > 0 else -add)
     return MixedElement._raw(a.dim, terms)
 
 
 def exterior_d(a, policy):
     """Base exterior derivative  sum_j dx^j wedge d_{x_j} a."""
-    result = MixedElement.zero(a.dim)
-    for j in range(1, a.dim + 1):
-        da = a.partial("base", j)
-        if da.is_zero():
-            continue
-        result = result + MixedElement.form_var(a.dim, j).mul(da, policy)
-    return result
+    pairs = [
+        (MixedElement.form_var(a.dim, j), a.partial("base", j)) for j in range(1, a.dim + 1)
+    ]
+    return sum_of_products(a.dim, pairs, policy)
 
 
 def poisson_bracket_base(f, g, pt, policy):
     """{f, g} = Pi^{ij} d_{x_i} f d_{x_j} g on base series."""
-    result = MixedElement.zero(f.dim)
-    for i, j, w in pt.pairs:
-        df = f.partial("base", i + 1)
-        if df.is_zero():
-            continue
-        dg = g.partial("base", j + 1)
-        if dg.is_zero():
-            continue
-        result = result + df.mul(dg, policy).scale(w)
-    return result
+    pairs = [
+        (f.partial("base", i + 1).scale(w), g.partial("base", j + 1)) for i, j, w in pt.pairs
+    ]
+    return sum_of_products(f.dim, pairs, policy)
 
 
 def moyal_base(f, g, pt, policy):

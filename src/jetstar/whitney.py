@@ -206,16 +206,6 @@ def is_flat(p, subset, order):
     return True
 
 
-def flat_ideal_member(p, subset, policy, order=None):
-    """Membership in the truncated flat ideal of ``subset``.
-
-    The default order is the policy's jet order; objects that consumed k
-    derivative orders are tested at ``policy.schedule_cap(k)`` instead.
-    """
-    order = policy.jet_order if order is None else order
-    return is_flat(p, subset, order)
-
-
 class JetEvaluator:
     """Exact linear map from polynomials to truncated germ-jet data.
 
@@ -364,10 +354,6 @@ class WhitneyAlgebra:
         return ev
 
     # ------------------------------------------------------------------
-
-    def flat_ideal_member(self, p, order=None):
-        order = self.policy.jet_order if order is None else order
-        return is_flat(p, self.subset, order)
 
     def flat_basis(self, order, deg_cap=None):
         return self.evaluator(deg_cap, order).kernel_basis()

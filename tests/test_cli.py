@@ -138,6 +138,18 @@ class TestHomologyCommand:
         hh = report["subsets"][0]["hochschild"]
         assert hh is not None and "caveat" in hh
 
+    def test_hochschild_guardrail_reported_as_skipped(self, capsys, tmp_path):
+        path = tmp_path / "hh.json"
+        argv = ["homology", "--subset", "plane-in-r4", "--jet-order", "4", "--hochschild"]
+        code = main(argv + ["--format", "json", "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        hh = json.loads(path.read_text())["subsets"][0]["hochschild"]
+        assert hh == {"skipped": "algebra dimension 16 exceeds 12", "components": 1}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "hochschild: skipped (algebra dimension 16 exceeds 12)" in out
+
 
 class TestConfigFile:
     def test_config_file_flags_win(self, capsys, tmp_path):

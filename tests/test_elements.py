@@ -70,6 +70,15 @@ class TestArithmetic:
         with pytest.raises(DimensionMismatch):
             x(2, 1).mul(MixedElement.one(4), policy_n1)
 
+    @pytest.mark.parametrize("hbar_min", [0, -1])
+    def test_truncation_compatible(self, rng, hbar_min):
+        pol = TruncationPolicy(1, 4, 4, 1, hbar_min=hbar_min)
+        wide = TruncationPolicy(1, 6, 6, 3, hbar_min=hbar_min - 1)
+        for _ in range(30):
+            a = random_element(rng, pol)
+            b = random_element(rng, pol)
+            assert a.mul(b, pol) == a.mul(b, wide).truncate(pol)
+
     def test_ring_axioms_random(self, rng, policy_n1):
         for _ in range(40):
             a = random_element(rng, policy_n1)

@@ -143,6 +143,20 @@ class TestMoyal:
         got = moyal(E("y1^2", pol), E("y2^2", pol), pt, pol)
         assert got == E("y1^2*y2^2 - 2*i*h*y1*y2 - (1/2)*h^2", pol)
 
+    def test_laurent_window(self, pt):
+        pol = TruncationPolicy(1, 4, 4, 1, hbar_min=-1)
+        got = moyal(E("h^-1*y1", pol), E("h^-1*y2", pol), pt, pol)
+        assert got == E("(-1/2)*i*h^-1", pol)
+
+    @pytest.mark.parametrize("hbar_min", [0, -1])
+    def test_truncation_compatible(self, pt, rng, hbar_min):
+        pol = TruncationPolicy(1, 4, 4, 1, hbar_min=hbar_min)
+        wide = TruncationPolicy(1, 6, 6, 3, hbar_min=hbar_min - 1)
+        for _ in range(20):
+            a = random_element(rng, pol)
+            b = random_element(rng, pol)
+            assert moyal(a, b, pt, pol) == moyal(a, b, pt, wide).truncate(pol)
+
     def test_against_multinomial_oracle(self, pt, pol, rng):
         for _ in range(25):
             a = random_element(rng, pol, with_forms=False)
