@@ -282,24 +282,31 @@ def cmd_homology(config, with_hochschild):
         n = subset.dim // 2
         policy = TruncationPolicy(n, max(config.jet_order, subset.dim), 2, 1)
         pt = PoissonTensor.darboux(n)
+        betti = derham.cohomology_dims(subset, policy)
+        poisson = derham.poisson_homology_dims(subset, pt, policy)
         entry = {
             "subset": subset.name,
-            "betti": derham.cohomology_dims(subset, policy),
-            "poisson_homology": derham.poisson_homology_dims(subset, pt, policy),
-            "duality": [list(row) for row in derham.duality_table(subset, pt, policy)],
+            "betti": betti,
+            "poisson_homology": poisson,
+            "duality": [list(row) for row in derham.duality_rows(betti, poisson)],
             "hochschild": None,
         }
         if with_hochschild:
             # computed per intersection component; components are isomorphic
-            walg_policy = TruncationPolicy(n, 4, 4, 1)
-            single = _single_component(subset)
-            walg = WhitneyAlgebra(single, walg_policy)
-            fd = build_A(ConnectionInput.flat(n), pt, walg_policy)
-            algebra = homology.FiniteAlgebra(walg, hbar_max=1, fd=fd, total_cap=2)
+            hbar_max, total_cap, q_max = 1, 2, 1
+            basis = homology.algebra_basis(subset.dim, hbar_max, total_cap, total_cap)
             try:
-                entry["hochschild"] = homology.hochschild_dims(algebra, 1)
+                homology.check_hochschild_size(len(basis), q_max)
             except GuardrailError as exc:
                 entry["hochschild"] = {"skipped": str(exc)}
+            else:
+                walg_policy = TruncationPolicy(n, 4, 4, 1)
+                walg = WhitneyAlgebra(_single_component(subset), walg_policy)
+                fd = build_A(ConnectionInput.flat(n), pt, walg_policy)
+                algebra = homology.FiniteAlgebra(
+                    walg, hbar_max=hbar_max, fd=fd, total_cap=total_cap
+                )
+                entry["hochschild"] = homology.hochschild_dims(algebra, q_max)
             entry["hochschild"]["components"] = len(subset.components())
         subsets.append(entry)
     report = {

@@ -355,32 +355,33 @@ def _form_basis(dim, degree, cap):
 
 
 def _d_matrix(dim, degree, cap_domain):
-    """Matrix of d from degree-``degree`` forms (coeff cap cap_domain)."""
-    domain = _form_basis(dim, degree, cap_domain)
+    """Transposed matrix of d from degree-``degree`` forms (coeff cap
+    cap_domain): one sparse ``{target index: Scalar}`` row per domain form."""
     target = _form_basis(dim, degree + 1, cap_domain - 1)
     index = {key: i for i, key in enumerate(target)}
-    rows = [[Scalar.zero()] * len(domain) for _ in range(len(target))]
-    for col, (forms, alpha) in enumerate(domain):
+    rows = []
+    for forms, alpha in _form_basis(dim, degree, cap_domain):
+        row = {}
         for j in range(dim):
             if j in forms or alpha[j] == 0:
                 continue
             new_alpha = tuple(v - 1 if m == j else v for m, v in enumerate(alpha))
             below = sum(1 for f in forms if f < j)
             sign = -1 if below % 2 else 1
-            key = (tuple(sorted(forms + (j,))), new_alpha)
-            row = index[key]
-            rows[row][col] = rows[row][col] + Scalar(sign * alpha[j])
-    return rows, len(domain), len(target)
+            row[index[(tuple(sorted(forms + (j,))), new_alpha)]] = Scalar(sign * alpha[j])
+        rows.append(row)
+    return rows, len(target)
 
 
 def _delta_matrix(pt, degree, cap_domain):
-    """Matrix of the Brylinski boundary from degree-``degree`` forms."""
+    """Transposed matrix of the Brylinski boundary from degree-``degree``
+    forms: one sparse ``{target index: Scalar}`` row per domain form."""
     dim = pt.dim
-    domain = _form_basis(dim, degree, cap_domain)
     target = _form_basis(dim, degree - 1, cap_domain - 1)
     index = {key: i for i, key in enumerate(target)}
-    rows = [[Scalar.zero()] * len(domain) for _ in range(len(target))]
-    for col, (forms, alpha) in enumerate(domain):
+    rows = []
+    for forms, alpha in _form_basis(dim, degree, cap_domain):
+        row = {}
         for m, s in enumerate(forms):
             outer_sign = -1 if m % 2 else 1
             for i in range(dim):
@@ -389,10 +390,9 @@ def _delta_matrix(pt, degree, cap_domain):
                     continue
                 new_alpha = tuple(v - 1 if q == i else v for q, v in enumerate(alpha))
                 key = (forms[:m] + forms[m + 1:], new_alpha)
-                row = index[key]
-                add = w * Scalar(outer_sign * alpha[i])
-                rows[row][col] = rows[row][col] + add
-    return rows, len(domain), len(target)
+                row[index[key]] = w * Scalar(outer_sign * alpha[i])
+        rows.append(row)
+    return rows, len(target)
 
 
 def cohomology_dims(subset, policy):
@@ -407,8 +407,7 @@ def cohomology_dims(subset, policy):
         cap = policy.jet_order - q
         dims.append(len(_form_basis(dim, q, cap)))
         if q < dim:
-            rows, ncols, _ = _d_matrix(dim, q, cap)
-            ranks.append(linalg.rank(rows, ncols))
+            ranks.append(linalg.rank_sparse(*_d_matrix(dim, q, cap)))
         else:
             ranks.append(0)
     betti = []
@@ -430,8 +429,7 @@ def poisson_homology_dims(subset, pt, policy):
         cap = policy.jet_order - (dim - q)
         dims.append(len(_form_basis(dim, q, cap)))
         if q >= 1:
-            rows, ncols, _ = _delta_matrix(pt, q, cap)
-            ranks.append(linalg.rank(rows, ncols))
+            ranks.append(linalg.rank_sparse(*_delta_matrix(pt, q, cap)))
         else:
             ranks.append(0)
     homology = []
@@ -444,10 +442,13 @@ def poisson_homology_dims(subset, pt, policy):
 
 def duality_table(subset, pt, policy):
     """Rows (q, dim H^delta_q, dim H^{2n-q}_dR); equality is the witness."""
-    betti = cohomology_dims(subset, policy)
-    homology = poisson_homology_dims(subset, pt, policy)
-    dim = subset.dim
-    return [(q, homology[q], betti[dim - q]) for q in range(dim + 1)]
+    return duality_rows(cohomology_dims(subset, policy), poisson_homology_dims(subset, pt, policy))
+
+
+def duality_rows(betti, homology):
+    """Duality table rows from Betti numbers and Brylinski homology dims."""
+    top = len(betti) - 1
+    return [(q, homology[q], betti[top - q]) for q in range(top + 1)]
 
 
 def random_form(rng, algebra, degree, cap, max_terms=3):

@@ -53,23 +53,11 @@ class FiniteAlgebra:
         self.total_cap = total_cap
         if total_cap is not None:
             self.x_cap = total_cap if x_cap is None else min(x_cap, total_cap)
-            basis = [
-                (alpha, j)
-                for j in range(hbar_max + 1)
-                for alpha in monomials_up_to(dim, self.x_cap)
-                if sum(alpha) + 2 * j <= total_cap
-            ]
         else:
             self.x_cap = policy.jet_order if x_cap is None else x_cap
-            basis = [
-                (alpha, j)
-                for j in range(hbar_max + 1)
-                for alpha in monomials_up_to(dim, self.x_cap)
-            ]
-        basis.sort(key=lambda key: (key[1], sum(key[0]), key[0]))
-        self.basis = basis
-        self.index = {key: i for i, key in enumerate(basis)}
-        self.dim = len(basis)
+        self.basis = algebra_basis(dim, hbar_max, self.x_cap, total_cap)
+        self.index = {key: i for i, key in enumerate(self.basis)}
+        self.dim = len(self.basis)
         self.unit = self.index[((0,) * dim, 0)]
         self._table = {}
         self._build_table()
@@ -155,6 +143,19 @@ class FiniteAlgebra:
     def __repr__(self):
         kind = "deformed" if self.deformed else "commutative"
         return f"FiniteAlgebra({self.walg.subset.name}, {kind}, dim={self.dim})"
+
+
+def algebra_basis(dim, hbar_max, x_cap, total_cap=None):
+    """Sorted basis keys (alpha, j) of a FiniteAlgebra: |alpha| <= x_cap,
+    j <= hbar_max and, when given, |alpha| + 2j <= total_cap."""
+    basis = [
+        (alpha, j)
+        for j in range(hbar_max + 1)
+        for alpha in monomials_up_to(dim, x_cap)
+        if total_cap is None or sum(alpha) + 2 * j <= total_cap
+    ]
+    basis.sort(key=lambda key: (key[1], sum(key[0]), key[0]))
+    return basis
 
 
 class ChainVector:
@@ -407,6 +408,14 @@ def e1_probe(form, algebra):
     return image, report
 
 
+def check_hochschild_size(algebra_dim, q_max):
+    """Raise GuardrailError when hochschild_dims would be too large."""
+    if algebra_dim > MAX_ALGEBRA_DIM:
+        raise GuardrailError(f"algebra dimension {algebra_dim} exceeds {MAX_ALGEBRA_DIM}")
+    if q_max > MAX_CHAIN_DEGREE:
+        raise GuardrailError(f"q_max {q_max} exceeds {MAX_CHAIN_DEGREE}")
+
+
 def hochschild_dims(algebra, q_max):
     """Brute-force normalized Hochschild homology dimensions 0..q_max.
 
@@ -414,10 +423,7 @@ def hochschild_dims(algebra, q_max):
     field homology of the untruncated deformed algebra (the caveat flag is
     part of the report).
     """
-    if algebra.dim > MAX_ALGEBRA_DIM:
-        raise GuardrailError(f"algebra dimension {algebra.dim} exceeds {MAX_ALGEBRA_DIM}")
-    if q_max > MAX_CHAIN_DEGREE:
-        raise GuardrailError(f"q_max {q_max} exceeds {MAX_CHAIN_DEGREE}")
+    check_hochschild_size(algebra.dim, q_max)
     non_unit = [i for i in range(algebra.dim) if i != algebra.unit]
 
     def chain_basis(q):

@@ -2,25 +2,18 @@
 
 Every coefficient in the package is a value ``re + im*i`` with ``re`` and
 ``im`` arbitrary-precision rationals, so all algebraic identities can be
-checked as exact equalities.  Rationals are backed by ``gmpy2.mpq`` when
-available and ``fractions.Fraction`` otherwise; both keep values in lowest
-terms with a positive denominator.
+checked as exact equalities.  Rationals are ``fractions.Fraction`` values,
+kept in lowest terms with a positive denominator.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
+from fractions import Fraction as _Q
 
 
 def rational(num, den=1):
     """Exact rational from integers or a decimal-free string like '-3/7'."""
     return _Q(num, den) if den != 1 else _Q(num)
-
-
-_QTYPE = type(_Q(0))
 
 
 class Scalar:
@@ -33,8 +26,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is _QTYPE else _Q(re))
-        object.__setattr__(self, "im", im if type(im) is _QTYPE else _Q(im))
+        object.__setattr__(self, "re", re if type(re) is _Q else _Q(re))
+        object.__setattr__(self, "im", im if type(im) is _Q else _Q(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -120,7 +113,7 @@ class Scalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(_Q(0)))):
+        if isinstance(other, (int, _Q)):
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -153,7 +146,7 @@ def _imag_str(im):
 def _coerce(value):
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, type(_Q(0)))):
+    if isinstance(value, (int, _Q)):
         return Scalar(value)
     raise TypeError(f"cannot coerce {value!r} to Scalar")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 from . import linalg
-from .elements import MixedElement
+from .elements import MixedElement, add_term
 from .errors import DimensionMismatch, ValidationError
 from .fedosov import star
 from .scalars import Scalar, rational
@@ -230,9 +230,7 @@ class JetEvaluator:
                 if sum(gamma[m] for m in normals) <= order:
                     self.rows.append((gi, gamma))
         self._row_index = {key: i for i, key in enumerate(self.rows)}
-        self._matrix = None
-        self._pivot_cols = None
-        self._section_rref = None
+        self._solved = None
 
     def evaluate_poly(self, p):
         """Jet-data vector of an h-free base polynomial (any degree)."""
@@ -254,75 +252,55 @@ class JetEvaluator:
                 out.append((k, vec))
         return tuple(out)
 
-    def matrix(self):
-        if self._matrix is None:
+    def _solve_data(self):
+        """Pivot columns, kernel basis and section columns, cached.
+
+        One sparse elimination of [E | I] (E: jet rows by monomial columns)
+        gives the reduced echelon form of E, hence its pivots and kernel,
+        and in the identity block a left inverse P of E on its image:
+        column r of P lists the pivot-monomial coordinates that jet row r
+        contributes to the canonical representative.
+        """
+        if self._solved is None:
             dim = self.subset.dim
-            cols = []
-            for mono in self.domain:
-                p = MixedElement.monomial(dim, Scalar.one(), alpha=mono)
-                cols.append(self.evaluate_poly(p))
-            self._matrix = [
-                [cols[c][r] for c in range(len(self.domain))]
-                for r in range(len(self.rows))
-            ]
-        return self._matrix
+            ncols = len(self.domain)
+            rows = [{ncols + r: Scalar.one()} for r in range(len(self.rows))]
+            for c, mono in enumerate(self.domain):
+                column = self.evaluate_poly(MixedElement.monomial(dim, Scalar.one(), alpha=mono))
+                for r, value in enumerate(column):
+                    if not value.is_zero():
+                        rows[r][c] = value
+            pivots, reduced = linalg.eliminate(rows, ncols)
+            keys = [(mono, (0,) * dim, 0, ()) for mono in self.domain]
+            kernel = tuple(
+                MixedElement(dim, {keys[c]: vec[c] for c in sorted(vec)})
+                for vec in linalg.null_space(pivots, reduced, ncols)
+            )
+            section = [[] for _ in self.rows]
+            for c, row in zip(pivots, reduced):
+                for col, value in row.items():
+                    if col >= ncols:
+                        section[col - ncols].append((keys[c], value))
+            self._solved = (pivots, kernel, section)
+        return self._solved
 
     def rank(self):
-        return linalg.rank(self.matrix(), len(self.domain))
+        return len(self._solve_data()[0])
 
     def kernel_basis(self):
-        """Basis of the truncated flat ideal as elements."""
-        dim = self.subset.dim
-        vectors = linalg.kernel_basis(self.matrix(), len(self.domain))
-        out = []
-        for vec in vectors:
-            terms = {}
-            for mono, coeff in zip(self.domain, vec):
-                if not coeff.is_zero():
-                    key = (mono, (0,) * dim, 0, ())
-                    terms[key] = coeff
-            out.append(MixedElement(dim, terms))
-        return out
-
-    def _section_data(self):
-        """Pivot columns and a left inverse P of E[:, pivots].
-
-        P is found once from the reduced echelon form of [E_piv | I]; for a
-        jet vector v in the image, P v gives the pivot-monomial coordinates
-        of the canonical representative.
-        """
-        if self._section_rref is None:
-            matrix = self.matrix()
-            work = [list(row) for row in matrix]
-            self._pivot_cols = list(linalg.rref(work, len(self.domain)))
-            n_rows = len(self.rows)
-            n_piv = len(self._pivot_cols)
-            augmented = [
-                [matrix[r][c] for c in self._pivot_cols]
-                + [Scalar.one() if j == r else Scalar.zero() for j in range(n_rows)]
-                for r in range(n_rows)
-            ]
-            linalg.rref(augmented, n_piv + n_rows)
-            self._section_rref = [row[n_piv:] for row in augmented[:n_piv]]
-        return self._pivot_cols, self._section_rref
+        """Basis of the truncated flat ideal as a tuple of elements."""
+        return self._solve_data()[1]
 
     def section_poly(self, vector):
         """Canonical polynomial (supported on pivot monomials) with the
         given jet data; raises if the vector is not in the image."""
-        pivots, left_inverse = self._section_data()
-        solution = []
-        for row in left_inverse:
-            total = Scalar.zero()
-            for value, coeff in zip(vector, row):
-                if not coeff.is_zero() and not value.is_zero():
-                    total = total + value * coeff
-            solution.append(total)
-        dim = self.subset.dim
+        section = self._solve_data()[2]
         terms = {}
-        for c, coeff in zip(pivots, solution):
-            if not coeff.is_zero():
-                terms[(self.domain[c], (0,) * dim, 0, ())] = coeff
-        poly = MixedElement(dim, terms)
+        for value, column in zip(vector, section):
+            if not value.is_zero():
+                for key, coeff in column:
+                    add_term(terms, key, value * coeff)
+        poly = MixedElement(self.subset.dim, terms)
         if tuple(self.evaluate_poly(poly)) != tuple(vector):
             raise ValidationError("jet vector is not in the evaluator image")
         return poly

@@ -1,5 +1,6 @@
 import json
 
+from jetstar import homology
 from jetstar.cli import main
 
 
@@ -138,7 +139,11 @@ class TestHomologyCommand:
         hh = report["subsets"][0]["hochschild"]
         assert hh is not None and "caveat" in hh
 
-    def test_hochschild_guardrail_reported_as_skipped(self, capsys, tmp_path):
+    def test_hochschild_guardrail_reported_as_skipped(self, capsys, tmp_path, monkeypatch):
+        def no_table(self):
+            raise AssertionError("oversized product table was built")
+
+        monkeypatch.setattr(homology.FiniteAlgebra, "_build_table", no_table)
         path = tmp_path / "hh.json"
         argv = ["homology", "--subset", "plane-in-r4", "--jet-order", "4", "--hochschild"]
         code = main(argv + ["--format", "json", "--out", str(path)])

@@ -1,6 +1,14 @@
 import random
 
-from jetstar.linalg import invert, kernel_basis, rank, rank_sparse, rref
+from jetstar.linalg import (
+    eliminate,
+    invert,
+    kernel_basis,
+    null_space,
+    rank,
+    rank_sparse,
+    rref,
+)
 from jetstar.scalars import Scalar, rational
 
 
@@ -91,3 +99,77 @@ def test_gaussian_rational_entries():
     inv = invert(m2)
     assert inv is not None
     assert matmul(m2, inv)[0][0] == Scalar.one()
+
+
+def random_sparse_gaussian(rng, nrows, ncols):
+    """Sparse Gaussian-rational rows with dependent rows, empty rows and
+    zero columns mixed in, as dense lists."""
+    values = [Scalar(rational(rng.randint(-4, 4), rng.randint(1, 3)),
+                     rational(rng.randint(-2, 2), rng.randint(1, 2)))
+              for _ in range(8)]
+    dead_cols = {c for c in range(ncols) if rng.random() < 0.25}
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([Scalar.zero()] * ncols)
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.choice(values), rng.choice(values)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                rng.choice(values) if c not in dead_cols and rng.random() < 0.3
+                else Scalar.zero()
+                for c in range(ncols)
+            ])
+    return rows
+
+
+def to_sparse(rows):
+    return [{c: v for c, v in enumerate(row) if not v.is_zero()} for row in rows]
+
+
+def test_eliminate_matches_dense_oracle(rng=random.Random(10)):
+    deficient = 0
+    for _ in range(120):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        m = random_sparse_gaussian(rng, nrows, ncols)
+        work = [list(row) for row in m]
+        dense_pivots = rref(work, ncols)
+        pivots, reduced = eliminate(to_sparse(m), ncols)
+        assert pivots == dense_pivots
+        assert rank_sparse(to_sparse(m), ncols) == rank(m, ncols) == len(pivots)
+        for row, dense_row in zip(reduced, work):
+            assert [row.get(c, Scalar.zero()) for c in range(ncols)] == dense_row
+        kernel = [[vec.get(c, Scalar.zero()) for c in range(ncols)]
+                  for vec in null_space(pivots, reduced, ncols)]
+        assert kernel == kernel_basis(m, ncols)
+        deficient += len(pivots) < min(nrows, ncols)
+    assert deficient > 20
+
+
+def test_eliminate_carries_augmented_columns():
+    # pivots only before ncols; the identity block records the row operations
+    rows = [{1: Scalar(2), 2: Scalar.one()}, {0: Scalar(3), 3: Scalar.one()}, {}]
+    pivots, reduced = eliminate(rows, 2)
+    assert pivots == [0, 1]
+    assert reduced == [{0: Scalar.one(), 3: Scalar(rational(1, 3))},
+                       {1: Scalar.one(), 2: Scalar(rational(1, 2))}]
+
+
+def test_invert_matches_dense_oracle(rng=random.Random(11)):
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = random_sparse_gaussian(rng, n, n)
+        work = [list(row) + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
+                for i, row in enumerate(m)]
+        full_rank = len(rref(work, n)) == n
+        inv = invert(m)
+        if not full_rank:
+            singular += 1
+            assert inv is None
+        else:
+            assert inv == [row[n:] for row in work]
+    assert singular > 5

@@ -1,9 +1,11 @@
 import pytest
 
+from jetstar import linalg
 from jetstar.elements import MixedElement, TruncationPolicy
 from jetstar.errors import ValidationError
 from jetstar.fedosov import ConnectionInput, build_A, star
 from jetstar.parsing import parse_element
+from jetstar.scalars import Scalar
 from jetstar.weyl import PoissonTensor, poisson_bracket_base
 from jetstar.whitney import (
     Germ,
@@ -168,6 +170,72 @@ class TestProject:
             f = walg.project(p)
             again = walg.project(f.rep)
             assert f == again and f.rep == again.rep
+
+
+def dense_oracle(ev):
+    """Kernel basis and section map of an evaluator by dense rref.
+
+    The section solves through a left inverse of the pivot columns, read off
+    the reduced echelon form of [E_piv | I].
+    """
+    dim = ev.subset.dim
+    cols = [ev.evaluate_poly(MixedElement.monomial(dim, Scalar.one(), alpha=mono))
+            for mono in ev.domain]
+    matrix = [[col[r] for col in cols] for r in range(len(ev.rows))]
+    pivots = linalg.rref([list(row) for row in matrix], len(ev.domain))
+    n_rows, n_piv = len(ev.rows), len(pivots)
+    augmented = [
+        [matrix[r][c] for c in pivots]
+        + [Scalar.one() if j == r else Scalar.zero() for j in range(n_rows)]
+        for r in range(n_rows)
+    ]
+    linalg.rref(augmented, n_piv + n_rows)
+    left_inverse = [row[n_piv:] for row in augmented[:n_piv]]
+
+    def element(coeffs, monos):
+        terms = {(mono, (0,) * dim, 0, ()): c for mono, c in zip(monos, coeffs)}
+        return MixedElement(dim, terms)
+
+    kernel = [element(vec, ev.domain)
+              for vec in linalg.kernel_basis(matrix, len(ev.domain))]
+
+    def section(vector):
+        solution = [sum((a * b for a, b in zip(row, vector)), Scalar.zero())
+                    for row in left_inverse]
+        return element(solution, [ev.domain[c] for c in pivots])
+
+    return kernel, section
+
+
+class TestSparseAgainstDense:
+    @pytest.mark.parametrize("name, policy, orders", [
+        ("cross", TruncationPolicy(1, 6, 4, 2), (1, 3, 6)),
+        ("two-points", TruncationPolicy(1, 6, 4, 2), (0, 2, 6)),
+        ("plane-in-r4", TruncationPolicy(2, 4, 4, 1), (1, 4)),
+    ])
+    def test_section_and_flat_basis(self, name, policy, orders, rng):
+        walg = WhitneyAlgebra(builtin_subset(name), policy)
+        dim = walg.subset.dim
+        for order in orders:
+            ev = walg.evaluator(order=order)
+            kernel, section = dense_oracle(ev)
+            assert list(walg.flat_basis(order)) == kernel
+            assert len(ev.domain) == ev.rank() + len(kernel)
+            for _ in range(6):
+                vector = ev.evaluate_poly(random_base_poly(rng, dim, policy.jet_order))
+                assert ev.section_poly(vector) == section(vector)
+            outside = list(ev.evaluate_poly(MixedElement.zero(dim)))
+            outside[-1] = Scalar.one()
+            if any(v != w for v, w in zip(ev.evaluate_poly(section(outside)), outside)):
+                with pytest.raises(ValidationError):
+                    ev.section_poly(tuple(outside))
+
+    def test_kernel_cache_is_immutable(self, pol):
+        walg = WhitneyAlgebra(builtin_subset("axis"), pol)
+        basis = walg.flat_basis(3)
+        with pytest.raises((TypeError, AttributeError)):
+            basis.append(basis[0])
+        assert walg.flat_basis(3) is basis
 
 
 class TestInducedStar:
