@@ -126,10 +126,7 @@ def null_space(pivots, reduced, ncols):
 def invert(matrix):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(matrix)
-    rows = [
-        {**{j: v for j, v in enumerate(row)}, n + i: Scalar.one()}
-        for i, row in enumerate(matrix)
-    ]
+    rows = [{**dict(enumerate(row)), n + i: Scalar.one()} for i, row in enumerate(matrix)]
     pivots, reduced = eliminate(rows, n)
     if len(pivots) != n:
         return None
