@@ -442,7 +442,8 @@ def poisson_homology_dims(subset, pt, policy):
 
 def duality_table(subset, pt, policy):
     """Rows (q, dim H^delta_q, dim H^{2n-q}_dR); equality is the witness."""
-    return duality_rows(cohomology_dims(subset, policy), poisson_homology_dims(subset, pt, policy))
+    betti = cohomology_dims(subset, policy)
+    return duality_rows(betti, poisson_homology_dims(subset, pt, policy))
 
 
 def duality_rows(betti, homology):
