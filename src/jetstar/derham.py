@@ -16,12 +16,14 @@ nu = omega^n / n! the symplectic volume form.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
 from .elements import MixedElement, add_term
 from .errors import DimensionMismatch, ValidationError
 from .scalars import Scalar, rational
+from .weyl import PoissonTensor
 from .whitney import monomials_up_to
 
 
@@ -57,14 +59,6 @@ class WhitneyForm:
     @staticmethod
     def zero(algebra, degree, cap):
         return WhitneyForm(algebra, degree, cap)
-
-    @staticmethod
-    def from_class(f_class, cap=None):
-        """Embed a Whitney class as a 0-form (same data on each component)."""
-        algebra = f_class.algebra
-        cap = algebra.policy.jet_order if cap is None else cap
-        comps = [{(): f_class.rep} for _ in range(algebra.n_components)]
-        return WhitneyForm(algebra, 0, cap, comps)
 
     def is_zero(self):
         return all(not data for data in self.comps)
@@ -245,8 +239,14 @@ def _sorted_sign(sequence):
     return -1 if inversions % 2 else 1
 
 
-def _star_constants(pt):
-    """dx^S -> [(T, coefficient)] solving  dx^U ^ (*dx^S) = Lambda(U,S) nu."""
+@lru_cache(maxsize=8)
+def _star_constants(half_dim, pi):
+    """dx^S -> [(T, coefficient)] solving  dx^U ^ (*dx^S) = Lambda(U,S) nu.
+
+    Cached per Poisson tensor ``(half_dim, pi)``; the cache keeps the eight
+    most recently used tensors.
+    """
+    pt = PoissonTensor(half_dim, pi)
     dim = pt.dim
     nu = volume_coefficient(pt)
     table = {}
@@ -266,16 +266,9 @@ def _star_constants(pt):
     return table
 
 
-_STAR_CACHE = {}
-
-
 def hodge_star(form, pt):
     """Symplectic Hodge star; pointwise, so the coefficient cap is kept."""
-    key = (pt.half_dim, pt.pi)
-    table = _STAR_CACHE.get(key)
-    if table is None:
-        table = _star_constants(pt)
-        _STAR_CACHE[key] = table
+    table = _star_constants(pt.half_dim, pt.pi)
     algebra = form.algebra
     comps = []
     for data in form.comps:

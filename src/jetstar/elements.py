@@ -338,9 +338,12 @@ class MixedElement:
         )
 
     def fiber_zero_part(self):
+        return self.fiber_degree_filter(0)
+
+    def fiber_degree_filter(self, cap):
+        """Drop terms of total fiber degree above cap."""
         return MixedElement._raw(
-            self.dim,
-            {key: c for key, c in self.terms.items() if sum(key[1]) == 0},
+            self.dim, {key: c for key, c in self.terms.items() if sum(key[1]) <= cap}
         )
 
     def hbar_coefficient(self, k):

@@ -8,23 +8,27 @@ D o D = 0 is equivalent to the fixed-point equation
     r = delta_inv( R + nabla r + (i/h) r o r ),
 
 solved by iteration stratified by Fedosov degree.  Flat sections are built
-the same way:  a = f + delta_inv( nabla a + (i/h)[r, a] ).
+the same way:  a = f + delta_inv( nabla a + (i/h)[r, a] ).  That map is
+linear, so :func:`quantize` combines tabulated monomial sections, and
+:func:`star` forms only the fiber-degree-0 part of q(f) o q(g).
 """
 
 from __future__ import annotations
 
 import json
 
-from .elements import MixedElement, TruncationPolicy
+from .elements import MixedElement, TruncationPolicy, add_term, sum_of_products
 from .errors import ConvergenceError, ValidationError
 from .scalars import Scalar, rational
 from .weyl import (
     PoissonTensor,
+    contraction_depth,
     delta_inv,
     exterior_d,
     ihbar_commutator,
     ihbar_square,
-    moyal,
+    moyal,  # noqa: F401  perfbench/spans.py wraps jetstar.fedosov.moyal
+    moyal_pairs,
 )
 
 
@@ -258,7 +262,11 @@ def generator_one_form(pt, policy):
 
 
 class FedosovData:
-    """Frozen output of :func:`build_A`; all queries are pure."""
+    """Frozen output of :func:`build_A`; all queries are pure.
+
+    ``_sections`` maps ``(alpha, k)`` to the flat section of x^alpha h^k for
+    the monomials the policy keeps, filled by :func:`quantize` on first use.
+    """
 
     __slots__ = (
         "conn",
@@ -268,7 +276,7 @@ class FedosovData:
         "r",
         "gamma_hat",
         "curvature_residual",
-        "_quantize_cache",
+        "_sections",
     )
 
     def __init__(self, conn, pt, policy, generator, r, ghat, residual):
@@ -279,7 +287,7 @@ class FedosovData:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "gamma_hat", ghat)
         object.__setattr__(self, "curvature_residual", residual)
-        object.__setattr__(self, "_quantize_cache", {})
+        object.__setattr__(self, "_sections", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FedosovData is immutable")
@@ -353,22 +361,38 @@ def quantize(f, fd):
     allowed).  In the flat Darboux case this is the full Taylor lift
     sum_alpha d^alpha f y^alpha / alpha!.
 
-    The recursion  a = f + delta_inv(nabla a + (i/h)[r, a])  has a linear
-    right-hand side, so the fixed point is reached by accumulating
-    increments: each round raises the lowest undetermined Fedosov degree
-    by one and only processes the newly added stratum.  The commutator is
-    bilinear, so GammaHat and r act through one (i/h)[GammaHat + r, -].
+    The section map is linear, so the result is the combination of the
+    sections of the monomials x^alpha h^k of ``f``, read from the table of
+    ``fd`` and filled by :func:`_flat_section` on first use.
     """
     if not f.is_base_series():
         raise ValidationError("quantize expects a base series")
-    cached = fd._quantize_cache.get(f)
-    if cached is not None:
-        return cached
+    terms = {}
+    for (alpha, _, k, _), coeff in f.terms.items():
+        section = fd._sections.get((alpha, k))
+        if section is None:
+            key = (alpha, (0,) * f.dim, k, ())
+            section = _flat_section(MixedElement._raw(f.dim, {key: Scalar.one()}), fd)
+            if fd.policy.keeps(key):  # so the table stays bounded by the policy
+                fd._sections[(alpha, k)] = section
+        for key, value in section.terms.items():
+            add_term(terms, key, coeff * value)
+    return MixedElement._raw(f.dim, terms)
+
+
+def _flat_section(f, fd):
+    """Solve  a = f + delta_inv(nabla a + (i/h)[r, a])  for a base series f.
+
+    The right-hand side is linear, so each round only processes the newly
+    added increment, one Fedosov degree higher; GammaHat and r act through
+    one (i/h)[GammaHat + r, -].
+    """
     policy = fd.policy
     twist = fd.gamma_hat + fd.r
     total = f
     delta = f
-    for _ in range(policy.fedosov_order + 2):
+    # each round raises the Fedosov degree by one, from 2 * hbar_min up
+    for _ in range(policy.fedosov_order - 2 * min(policy.hbar_min, 0) + 2):
         source = exterior_d(delta, policy)
         if not twist.is_zero():
             source = source + ihbar_commutator(twist, delta, fd.pt, policy)
@@ -378,7 +402,6 @@ def quantize(f, fd):
         total = total + delta
     else:
         raise ConvergenceError("flat-section iteration did not stabilize")
-    fd._quantize_cache[f] = total
     return total
 
 
@@ -390,8 +413,24 @@ def symbol(a):
 
 
 def star(f, g, fd):
-    """f * g = sigma(q(f) o q(g)) as a base series in h."""
-    return symbol(moyal(quantize(f, fd), quantize(g, fd), fd.pt, fd.policy))
+    """f * g = sigma(q(f) o q(g)) as a base series in h.
+
+    Fiber degrees add, so a level-k pair (u, v) of the Moyal contraction
+    reaches the symbol only through the fiber-degree-0 parts of u and v,
+    which come from the fiber-degree-k parts of q(f) and q(g); no level past
+    :func:`contraction_depth` reaches the h window.  The result equals
+    ``symbol(moyal(quantize(f), quantize(g)))``.
+    """
+    a = quantize(f, fd)
+    b = quantize(g, fd)
+    top = contraction_depth(a, b, fd.policy)
+    pairs = [
+        (u.fiber_zero_part().scale(c).hbar_shift(k), v.fiber_zero_part())
+        for k, c, u, v in moyal_pairs(
+            a.fiber_degree_filter(top), b.fiber_degree_filter(top), fd.pt, fd.policy
+        )
+    ]
+    return sum_of_products(f.dim, pairs, fd.policy)
 
 
 def c_k(f, g, fd, k):

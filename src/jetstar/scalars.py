@@ -51,9 +51,6 @@ class Scalar:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
-
     def __bool__(self):
         return not self.is_zero()
 

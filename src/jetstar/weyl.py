@@ -6,19 +6,17 @@ convention
     a o b = sum_k ((-i*h/2)^k / k!) mu(PiHat^k (a (x) b)),
 
 computed as written: the levels PiHat^k are built by repeated
-:func:`pi_hat`, each level becomes (h^k-shifted, weighted) factor pairs, and
-one :func:`~jetstar.elements.sum_of_products` call multiplies and sums every
-pair, applying the truncation policy once to each final term.  Laurent h
-windows (``hbar_min < 0``) are therefore exact.  Also provided: the graded
-commutator helpers with the exact 1/h division used by flat connections,
-the grading/filtration utilities, and the homotopy pair delta_op /
-delta_inv.  With this convention [y_i, y_j] = -i*h*Pi^{ij} on the nose and
-the product is associative modulo the truncation policy.
+:func:`pi_hat`, each level becomes (h^k-shifted, weighted) factor pairs
+(:func:`moyal_pairs`), and one :func:`~jetstar.elements.sum_of_products` call
+multiplies and sums every pair, applying the truncation policy once to each
+final term.  Laurent h windows (``hbar_min < 0``) are therefore exact.  Also
+provided: the graded commutator helpers with the exact 1/h division used by
+flat connections, the grading/filtration utilities, and the homotopy pair
+delta_op / delta_inv.  With this convention [y_i, y_j] = -i*h*Pi^{ij} on the
+nose and the product is associative modulo the truncation policy.
 """
 
 from __future__ import annotations
-
-import json
 
 from . import linalg
 from .elements import MixedElement, add_term, sum_of_products
@@ -118,16 +116,18 @@ def pi_hat(a, b, pt):
     return out
 
 
+def contraction_depth(a, b, policy):
+    """The last level of a o b that can fall in the h window (level k takes
+    k fiber derivatives of each factor and adds k powers of h)."""
+    min_k = min(a.hbar_orders(), default=0) + min(b.hbar_orders(), default=0)
+    return min(a.max_fiber_degree(), b.max_fiber_degree(), policy.hbar_order - min_k)
+
+
 def _contraction_levels(a, b, pt, policy):
     """Yield (k, {(u, v): weight}) for PiHat^k applied to a (x) b."""
     if a.is_zero() or b.is_zero():
         return
-    min_k = min(k for _, _, k, _ in a.terms) + min(k for _, _, k, _ in b.terms)
-    kmax = min(
-        a.max_fiber_degree(),
-        b.max_fiber_degree(),
-        policy.hbar_order - min_k,
-    )
+    kmax = contraction_depth(a, b, policy)
     level = {(a, b): Scalar.one()}
     k = 0
     while level and k <= max(kmax, 0):
@@ -140,23 +140,27 @@ def _contraction_levels(a, b, pt, policy):
         k += 1
 
 
-def moyal(a, b, pt, policy):
-    """Moyal-Weyl product, eagerly truncated by the policy.
-
-    Level k of the contraction contributes the pairs
-    ((-i/2)^k / k! * w * h^k * u, v); all levels go through one
-    sum_of_products call, so the policy sees each final key exactly once.
-    Form-valued inputs are multiplied with the usual Koszul wedge signs; the
-    fiber contractions themselves are parity-neutral.
-    """
+def moyal_pairs(a, b, pt, policy):
+    """Yield (k, c, u, v) with c = (-i/2)^k / k! * (PiHat^k weight of the
+    pair): a o b is the sum of c * h^k * u v over every level-k pair."""
     half = Scalar(rational(-1, 2)) * Scalar.i()  # -i/2
     prefactor = Scalar.one()
-    pairs = []
     for k, level in _contraction_levels(a, b, pt, policy):
         if k > 0:
             prefactor = prefactor * half / Scalar(k)
         for (u, v), w in level.items():
-            pairs.append((u.scale(w * prefactor).hbar_shift(k), v))
+            yield k, w * prefactor, u, v
+
+
+def moyal(a, b, pt, policy):
+    """Moyal-Weyl product, eagerly truncated by the policy.
+
+    All pairs of :func:`moyal_pairs` go through one sum_of_products call, so
+    the policy sees each final key exactly once.  Form-valued inputs are
+    multiplied with the usual Koszul wedge signs; the fiber contractions
+    themselves are parity-neutral.
+    """
+    pairs = [(u.scale(c).hbar_shift(k), v) for k, c, u, v in moyal_pairs(a, b, pt, policy)]
     return sum_of_products(a.dim, pairs, policy)
 
 
@@ -307,14 +311,3 @@ def _factorial(m):
     for v in range(2, m + 1):
         out *= v
     return out
-
-
-def load_poisson_json(data):
-    if "pi" in data:
-        return PoissonTensor.from_matrix_strings(int(data["half_dim"]), data["pi"])
-    return PoissonTensor.darboux(int(data["half_dim"]))
-
-
-def load_poisson_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_poisson_json(json.load(handle))

@@ -415,9 +415,6 @@ class WhitneyClass:
         self._check(other)
         return self.algebra.whitney_poisson(self, other, pt)
 
-    def hbar_coefficient_class(self, k):
-        return self.algebra.project(self.rep.hbar_coefficient(k))
-
     def is_zero(self):
         return not self.normal_form
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jetstar import homology
 from jetstar.cli import main
 
@@ -10,7 +12,62 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+PINNED_STAR = {
+    "flat-n1": (
+        ["--dim", "1", "x1", "x2"],
+        "jetstar star (schema jetstar-report/1, v0.1.0)\n"
+        "f = x1\n"
+        "g = x2\n"
+        "f * g = x1*x2 + (-1/2*i)*h\n"
+        "  c_0 = x1*x2\n"
+        "  c_1 = (-1/2*i)\n"
+    ),
+    "point-subset": (
+        ["--dim", "1", "--subset", "point", "x1", "x2"],
+        "jetstar star (schema jetstar-report/1, v0.1.0)\n"
+        "f = x1\n"
+        "g = x2\n"
+        "f * g = x1*x2 + (-1/2*i)*h\n"
+        "  c_0 = x1*x2\n"
+        "  c_1 = (-1/2*i)\n"
+        "induced on the quotient:\n"
+        "  c_0 = x1*x2\n"
+        "  c_1 = (-1/2*i)\n"
+    ),
+    "curved-linear-n2": (
+        ["--dim", "2", "--connection", "curved-linear-n2", "--jet-order", "8",
+         "--fedosov-order", "6", "x1", "x3"],
+        "jetstar star (schema jetstar-report/1, v0.1.0)\n"
+        "f = x1\n"
+        "g = x3\n"
+        "f * g = x1*x3 + (-1/2*i)*h\n"
+        "  c_0 = x1*x3\n"
+        "  c_1 = (-1/2*i)\n"
+    ),
+    "curved-linear-n2-h3": (
+        ["--dim", "2", "--connection", "curved-linear-n2", "--jet-order", "6",
+         "--fedosov-order", "6", "--hbar-order", "3", "x1^3 + x2*x3", "x3^3*x2 + h*x1"],
+        "jetstar star (schema jetstar-report/1, v0.1.0)\n"
+        "f = x2*x3 + x1^3\n"
+        "g = x2*x3^3 + x1*h\n"
+        "f * g = x2^2*x3^4 + x1*x2*x3*h + x1^4*h + (-9/2*i)*x1^2*x2*x3^2*h"
+        " + (1/2*i)*x2*h^2 + (-9/2)*x1*x2*x3*h^2 + (-3/4)*x2^3*x3*h^2 + (3/4*i)*x2*h^3\n"
+        "  c_0 = x2^2*x3^4\n"
+        "  c_1 = x1*x2*x3 + x1^4 + (-9/2*i)*x1^2*x2*x3^2\n"
+        "  c_2 = (1/2*i)*x2 + (-9/2)*x1*x2*x3 + (-3/4)*x2^3*x3\n"
+        "  c_3 = (3/4*i)*x2\n"
+    ),
+}
+
+
 class TestStarCommand:
+    @pytest.mark.parametrize("case", sorted(PINNED_STAR))
+    def test_pinned_output(self, capsys, case):
+        argv, expected = PINNED_STAR[case]
+        code, out, _ = run(capsys, "star", *argv)
+        assert code == 0
+        assert out == expected
+
     def test_flat_canonical_pair(self, capsys):
         code, out, _ = run(capsys, "star", "--dim", "1", "x1", "x2")
         assert code == 0

@@ -16,7 +16,7 @@ from jetstar.derham import (
 from jetstar.elements import MixedElement, TruncationPolicy
 from jetstar.errors import ValidationError
 from jetstar.parsing import parse_element
-from jetstar.scalars import Scalar
+from jetstar.scalars import Scalar, rational
 from jetstar.weyl import PoissonTensor
 from jetstar.whitney import WhitneyAlgebra, builtin_subset
 
@@ -109,6 +109,18 @@ class TestHodgeStar:
             for _ in range(15):
                 form = random_form(rng, walg, q, 2)
                 assert hodge_star(hodge_star(form, pt), pt) == form
+
+    def test_constants_cache_bounded(self, walg):
+        from jetstar.derham import _star_constants
+
+        one = form0(walg, MixedElement.one(2), cap=2)
+        for _ in range(2):
+            for c in range(1, 25):
+                tensor = PoissonTensor(1, [[0, c], [-c, 0]])
+                volume = MixedElement.scalar(2, Scalar(rational(1, c)))
+                assert hodge_star(one, tensor) == WhitneyForm(walg, 2, 2, [{(0, 1): volume}])
+                info = _star_constants.cache_info()
+                assert info.currsize <= 8 and info.maxsize == 8
 
     def test_involution_n2_complete_wedge_basis(self):
         pol = TruncationPolicy(2, 4, 2, 1)

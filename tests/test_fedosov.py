@@ -15,6 +15,7 @@ from jetstar.fedosov import (
     load_connection_json,
     nabla,
     preserves_symplectic_form,
+    _flat_section,
     quantize,
     star,
     symbol,
@@ -66,6 +67,61 @@ def taylor_lift(f, policy):
 
 def curved_n1():
     return ConnectionInput(1, {(0, 0, 0): MixedElement.base_var(2, 2)}, name="curved-n1")
+
+
+def curved_n1_two_entries():
+    """Gamma_111 = x2, Gamma_122 = x1: the connection perfbench's fedosov-star uses."""
+    return ConnectionInput(
+        1,
+        {(0, 0, 0): MixedElement.base_var(2, 2), (0, 1, 1): MixedElement.base_var(2, 1)},
+        name="gamma111-x2-gamma122-x1",
+    )
+
+
+# (connection, policy) settings for the monomial section table
+TABLE_CASES = {
+    "benchmark-n1": (curved_n1_two_entries, TruncationPolicy(1, 6, 4, 1)),
+    "curved-linear-n2": (ConnectionInput.curved_linear_n2, TruncationPolicy(2, 5, 4, 1)),
+    "n1-hbar2": (curved_n1, TruncationPolicy(1, 5, 6, 2)),
+    "laurent": (curved_n1, TruncationPolicy(1, 5, 4, 1, hbar_min=-1)),
+}
+
+
+def table_fd(name):
+    conn, policy = TABLE_CASES[name]
+    return build_A(conn(), PoissonTensor.darboux(policy.half_dim), policy)
+
+
+def table_inputs(rng, policy, count):
+    """Zero, constants, pure h powers, a monomial one degree past the jet
+    order, and random base series with a term at every h power of the
+    window."""
+    dim = policy.dim
+    inputs = [
+        MixedElement.zero(dim),
+        MixedElement.scalar(dim, Scalar(rational(-2, 3))),
+        MixedElement.hbar(dim, policy.hbar_min).scale(Scalar(0, 1)),
+        MixedElement.hbar(dim, policy.hbar_order),
+        MixedElement.monomial(dim, Scalar(3), alpha=(policy.jet_order + 1,) + (0,) * (dim - 1)),
+    ]
+    for _ in range(count):
+        f = random_base_poly(rng, dim, policy.jet_order, max_terms=2)
+        for k in range(policy.hbar_min, policy.hbar_order + 1):
+            if k:
+                f = f + random_base_poly(rng, dim, 3, max_terms=1).hbar_shift(k)
+        inputs.append(f)
+    return inputs
+
+
+def window_keys(policy):
+    """The (alpha, k) of every monomial x^alpha h^k the policy keeps."""
+    zero = (0,) * policy.dim
+    return [
+        (alpha, k)
+        for alpha in monomials_up_to(policy.dim, policy.jet_order)
+        for k in range(policy.hbar_min, policy.hbar_order + 1)
+        if policy.keeps((alpha, zero, k, ()))
+    ]
 
 
 class TestConnectionInput:
@@ -298,3 +354,47 @@ class TestStar:
                         continue
                     min_deg = min(sum(key[0]) for key in value.terms)
                     assert min_deg >= sum(alpha) + sum(beta) - 2 * k
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+class TestMonomialTable:
+    def test_quantize_equals_whole_recursion(self, case, rng):
+        fd = table_fd(case)
+        for f in table_inputs(rng, fd.policy, 6):
+            section = quantize(f, fd)
+            assert section == _flat_section(f, fd)
+            assert symbol(section) == f
+
+    def test_star_equals_symbol_of_moyal(self, case, rng):
+        fd = table_fd(case)
+        inputs = table_inputs(rng, fd.policy, 4)
+        for f in inputs:
+            for g in (inputs[1], inputs[-1], inputs[-2]):
+                for left, right in ((f, g), (g, f)):
+                    expected = symbol(
+                        moyal(quantize(left, fd), quantize(right, fd), fd.pt, fd.policy)
+                    )
+                    assert star(left, right, fd) == expected
+
+    def test_table_holds_window_monomials_only(self, case, rng):
+        fd = table_fd(case)
+        for f in table_inputs(rng, fd.policy, 6):
+            quantize(f, fd)
+        assert fd._sections
+        assert set(fd._sections) <= set(window_keys(fd.policy))
+
+
+def test_table_bounded_under_fresh_inputs(rng):
+    fd = table_fd("benchmark-n1")
+    policy = fd.policy
+    bound = len(window_keys(policy))
+    first = []
+    for trial in range(200):
+        f = random_base_poly(rng, 2, policy.jet_order)
+        f = f + random_base_poly(rng, 2, 3, max_terms=2).hbar_shift(1)
+        section = quantize(f, fd)
+        assert len(fd._sections) <= bound
+        if trial < 20:
+            first.append((f, section))
+    for f, section in first:
+        assert quantize(f, fd) == section
