@@ -16,6 +16,7 @@ nu = omega^n / n! the symplectic volume form.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -218,10 +219,7 @@ def volume_coefficient(pt):
     power = MixedElement.one(dim)
     for _ in range(pt.half_dim):
         power = power.mul(two_form, wide)
-    fact = 1
-    for v in range(2, pt.half_dim + 1):
-        fact *= v
-    power = power.scale(Scalar(rational(1, fact)))
+    power = power.scale(Scalar(rational(1, math.factorial(pt.half_dim))))
     full = tuple(range(dim))
     for (alpha, beta, k, forms), coeff in power.terms.items():
         if forms == full:
@@ -229,7 +227,7 @@ def volume_coefficient(pt):
     raise ValidationError("degenerate symplectic volume form")
 
 
-def _sorted_sign(sequence):
+def sorted_sign(sequence):
     """Sign of the permutation sorting ``sequence`` (entries distinct)."""
     inversions = 0
     for i in range(len(sequence)):
@@ -258,7 +256,7 @@ def _star_constants(half_dim, pi):
                 weight = _pair_wedges(pt, u_set, s_set)
                 if weight.is_zero():
                     continue
-                sign = _sorted_sign(u_set + t_set)
+                sign = sorted_sign(u_set + t_set)
                 coeff = weight * nu * Scalar(sign)
                 if not coeff.is_zero():
                     images.append((t_set, coeff))

@@ -67,12 +67,12 @@ class TruncationPolicy:
             return False
         return self.hbar_min <= k <= self.hbar_order
 
-    def extended(self, extra_hbar=0, extra_fedosov=0, extra_jet=0):
-        """Loosened policy for intermediate results of fused operations."""
+    def extended(self, extra_hbar):
+        """The same policy with the h window ``extra_hbar`` powers wider."""
         return TruncationPolicy(
             self.half_dim,
-            self.jet_order + extra_jet,
-            self.fedosov_order + extra_fedosov,
+            self.jet_order,
+            self.fedosov_order,
             self.hbar_order + extra_hbar,
             self.hbar_min,
         )
@@ -353,13 +353,6 @@ class MixedElement:
             if kk == k:
                 terms[(a, b, 0, s)] = c
         return MixedElement._raw(self.dim, terms)
-
-    def form_parity_flip(self):
-        """Negate odd-form-degree terms (Koszul parity involution)."""
-        return MixedElement._raw(
-            self.dim,
-            {key: (-c if len(key[3]) % 2 else c) for key, c in self.terms.items()},
-        )
 
     def truncate(self, policy):
         return MixedElement._raw(

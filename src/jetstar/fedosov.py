@@ -7,10 +7,13 @@ D o D = 0 is equivalent to the fixed-point equation
 
     r = delta_inv( R + nabla r + (i/h) r o r ),
 
-solved by iteration stratified by Fedosov degree.  Flat sections are built
-the same way:  a = f + delta_inv( nabla a + (i/h)[r, a] ).  That map is
-linear, so :func:`quantize` combines tabulated monomial sections, and
-:func:`star` forms only the fiber-degree-0 part of q(f) o q(g).
+solved by iteration stratified by Fedosov degree.  Since nabla = d +
+(i/h)[GammaHat, -] and (i/h) r o r = (i/h)[r/2, r], each round is one call of
+:func:`~jetstar.weyl.ihbar_commutator`:  r <- delta_inv( R + d r +
+(i/h)[GammaHat + r/2, r] ).  Flat sections are built the same way:
+a = f + delta_inv( d a + (i/h)[GammaHat + r, a] ).  That map is linear, so
+:func:`quantize` combines tabulated monomial sections, and :func:`star` forms
+only the fiber-degree-0 part of q(f) o q(g).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .weyl import (
     delta_inv,
     exterior_d,
     ihbar_commutator,
-    ihbar_square,
     moyal,  # noqa: F401  perfbench/spans.py wraps jetstar.fedosov.moyal
     moyal_pairs,
 )
@@ -230,11 +232,13 @@ def _lowered_curvature(conn, pt, i, j, k, l, policy):
 
 
 def curvature_weyl_route(conn, pt, policy):
-    """Independent curvature route: d GammaHat + (i/h) GammaHat o GammaHat."""
+    """Independent curvature route: d GammaHat + (i/h) GammaHat o GammaHat.
+
+    For a one-form B the square (i/h) B o B is (i/h)[B/2, B].
+    """
     ghat = gamma_hat(conn, policy)
-    if ghat.is_zero():
-        return MixedElement.zero(conn.dim)
-    return (exterior_d(ghat, policy) + ihbar_square(ghat, pt, policy)).truncate(policy)
+    square = ihbar_commutator(ghat.scale(Scalar(rational(1, 2))), ghat, pt, policy)
+    return exterior_d(ghat, policy) + square
 
 
 def nabla(a, conn, pt, policy):
@@ -323,9 +327,14 @@ def build_A(conn, pt, policy):
     """Construct the abelian connection data for ``conn`` under ``policy``.
 
     The normalized remainder r solves r = delta_inv(R + nabla r + (i/h) r o r)
-    with delta_inv r = 0; the iteration gains one Fedosov degree per round
-    and must stabilize within fedosov_order + 2 rounds.  The returned data
-    carries the recomputed-from-scratch D o D defect as its residual.
+    with delta_inv r = 0.  B -> (i/h)[B, r] is linear and (i/h)[r/2, r] =
+    (i/h) r o r, so each round is the one step
+
+        r <- delta_inv(R + d r + (i/h)[GammaHat + r/2, r]);
+
+    it gains one Fedosov degree and must stabilize within fedosov_order + 2
+    rounds.  The returned data carries the recomputed-from-scratch D o D
+    defect d A + (i/h)[A/2, A] (fiber degree > 0 part) as its residual.
     """
     if policy.fedosov_order < 2:
         raise ValidationError("build_A needs fedosov_order >= 2")
@@ -333,14 +342,12 @@ def build_A(conn, pt, policy):
         raise ValidationError("connection, tensor and policy dimensions disagree")
     ghat = gamma_hat(conn, policy)
     riemann = curvature(conn, pt, policy)
-    dim = conn.dim
+    half = Scalar(rational(1, 2))
 
-    r = MixedElement.zero(dim)
+    r = MixedElement.zero(conn.dim)
     for _ in range(policy.fedosov_order + 2):
-        source = riemann + nabla(r, conn, pt, policy)
-        if not r.is_zero():
-            source = source + ihbar_square(r, pt, policy)
-        r_next = delta_inv(source).truncate(policy)
+        twist = ihbar_commutator(ghat + r.scale(half), r, pt, policy)
+        r_next = delta_inv(riemann + exterior_d(r, policy) + twist).truncate(policy)
         if r_next == r:
             break
         r = r_next
@@ -349,7 +356,8 @@ def build_A(conn, pt, policy):
 
     generator = generator_one_form(pt, policy)
     total = ghat + generator + r
-    omega_full = exterior_d(total, policy) + ihbar_square(total, pt, policy)
+    square = ihbar_commutator(total.scale(half), total, pt, policy)
+    omega_full = exterior_d(total, policy) + square
     residual = omega_full - omega_full.fiber_zero_part()
     return FedosovData(conn, pt, policy, generator, r, ghat, residual)
 

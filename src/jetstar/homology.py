@@ -14,10 +14,11 @@ makes  mu o B = d o mu  hold with constant 1 and  mu o eps = id.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 
 from . import linalg
-from .derham import WhitneyForm, brylinski_delta
+from .derham import WhitneyForm, brylinski_delta, sorted_sign
 from .elements import MixedElement, add_term
 from .errors import GuardrailError, ValidationError
 from .fedosov import star
@@ -288,10 +289,7 @@ def mu(chain, algebra):
     cap = algebra.x_cap - q
     if cap < 0:
         raise ValidationError("degree schedule exhausted for mu")
-    fact = 1
-    for v in range(2, q + 1):
-        fact *= v
-    norm = Scalar(rational(1, fact))
+    norm = Scalar(rational(1, math.factorial(q)))
     data = {}
     for key, coeff in chain.terms.items():
         if any(algebra.basis[i][1] != 0 for i in key):
@@ -335,7 +333,7 @@ def antisymmetrize(form, algebra):
                 raise ValidationError("antisymmetrize expects h-free forms")
             slot0 = algebra.element_index(alpha, 0)
             for sigma in permutations(range(q)):
-                sign = _perm_sign(sigma)
+                sign = sorted_sign(sigma)
                 key = (slot0,) + tuple(coordinate_slots[sigma[m]] for m in range(q))
                 _accumulate(terms, key, coeff * Scalar(sign), algebra, True)
     return ChainVector(q, terms, True)
@@ -343,15 +341,6 @@ def antisymmetrize(form, algebra):
 
 def _unit_exponent(dim, pos):
     return tuple(1 if m == pos else 0 for m in range(dim))
-
-
-def _perm_sign(sigma):
-    inversions = 0
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 def form_proportionality(left, right):

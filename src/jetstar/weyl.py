@@ -9,14 +9,19 @@ computed as written: the levels PiHat^k are built by repeated
 :func:`pi_hat`, each level becomes (h^k-shifted, weighted) factor pairs
 (:func:`moyal_pairs`), and one :func:`~jetstar.elements.sum_of_products` call
 multiplies and sums every pair, applying the truncation policy once to each
-final term.  Laurent h windows (``hbar_min < 0``) are therefore exact.  Also
-provided: the graded commutator helpers with the exact 1/h division used by
-flat connections, the grading/filtration utilities, and the homotopy pair
+final term.  Laurent h windows (``hbar_min < 0``) are therefore exact.
+
+(i/h)[B, a] for a one-form B, the step every Fedosov iteration repeats, is
+:func:`ihbar_commutator`: the even levels of B o a and (-1)^{|a|} a o B
+cancel, so it multiplies only the odd levels of B o a, each already divided
+by h.  Also provided: the grading/filtration utilities and the homotopy pair
 delta_op / delta_inv.  With this convention [y_i, y_j] = -i*h*Pi^{ij} on the
 nose and the product is associative modulo the truncation policy.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import linalg
 from .elements import MixedElement, add_term, sum_of_products
@@ -169,35 +174,22 @@ def star_commutator(a, b, pt, policy):
     return moyal(a, b, pt, policy) - moyal(b, a, pt, policy)
 
 
-def graded_commutator_one_form(one_form, a, pt, policy):
-    """[B, a] = B o a - (-1)^{|a|} a o B for a homogeneous-odd 1-form B."""
-    return moyal(one_form, a, pt, policy) - moyal(a.form_parity_flip(), one_form, pt, policy)
-
-
 def ihbar_commutator(one_form, a, pt, policy):
-    """(i/h)[B, a] computed without losing the top h order."""
-    wide = policy.extended(extra_hbar=1, extra_fedosov=2)
-    comm = graded_commutator_one_form(one_form, a, pt, wide)
-    return _divide_ihbar(comm, policy, "commutator with a one-form")
+    """(i/h)[B, a] = (i/h)(B o a - (-1)^{|a|} a o B) for a 1-form B.
 
-
-def ihbar_square(one_form, pt, policy):
-    """(i/h)(B o B) for an odd 1-form B; the pointwise square vanishes."""
-    wide = policy.extended(extra_hbar=1, extra_fedosov=2)
-    return _divide_ihbar(moyal(one_form, one_form, pt, wide), policy, "odd square")
-
-
-def _divide_ihbar(value, policy, what):
-    """(i/h) * value, re-truncated to ``policy``.
-
-    ``value`` is computed under caps loosened by one h power (two Fedosov
-    degrees); its pointwise layer must cancel exactly, so the division by h
-    is exact and no retained order is corrupted.
+    Level k of a o B is (-1)^{k+|a|} times level k of B o a, so the even
+    levels cancel and each odd level doubles; only those are multiplied,
+    already divided by h, so the top retained h order is exact.
     """
-    lowest = min((k for _, _, k, _ in value.terms), default=policy.hbar_min + 1)
-    if lowest <= policy.hbar_min:
-        raise ValidationError(f"{what} had a nonzero pointwise layer")
-    return value.hbar_shift(-1).scale(Scalar.i()).truncate(policy)
+    if one_form.form_degrees() not in ([], [1]):
+        raise ValidationError("ihbar_commutator expects a one-form")
+    twice_i = Scalar(0, 2)
+    pairs = [
+        (u.scale(twice_i * c).hbar_shift(k - 1), v)
+        for k, c, u, v in moyal_pairs(one_form, a, pt, policy.extended(extra_hbar=1))
+        if k % 2
+    ]
+    return sum_of_products(a.dim, pairs, policy)
 
 
 def fedosov_degree(a):
@@ -298,16 +290,9 @@ def moyal_base(f, g, pt, policy):
                 if l.is_zero() or r.is_zero():
                     return
                 w = w * piw
-                run(p_index + 1, rem - m, w, fac * _factorial(m), l, r)
+                run(p_index + 1, rem - m, w, fac * math.factorial(m), l, r)
 
         run(0, k, Scalar.one(), 1, f, g)
         if not for_order.is_zero():
             result = result + for_order.scale(half_mi ** k).hbar_shift(k, policy)
     return result.truncate(policy)
-
-
-def _factorial(m):
-    out = 1
-    for v in range(2, m + 1):
-        out *= v
-    return out

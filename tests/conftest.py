@@ -3,6 +3,7 @@ import random
 import pytest
 
 from jetstar.elements import MixedElement, TruncationPolicy
+from jetstar.fedosov import ConnectionInput
 from jetstar.scalars import Scalar, rational
 
 
@@ -19,6 +20,15 @@ def policy_n1():
 @pytest.fixture
 def policy_n2():
     return TruncationPolicy(2, 6, 6, 3)
+
+
+def curved_n1_two_entries():
+    """Gamma_111 = x2, Gamma_122 = x1: the connection perfbench's fedosov-star uses."""
+    return ConnectionInput(
+        1,
+        {(0, 0, 0): MixedElement.base_var(2, 2), (0, 1, 1): MixedElement.base_var(2, 1)},
+        name="gamma111-x2-gamma122-x1",
+    )
 
 
 def random_scalar(rng):

@@ -25,6 +25,8 @@ from jetstar.scalars import Scalar, rational
 from jetstar.weyl import PoissonTensor, ihbar_commutator, moyal, moyal_base
 from jetstar.whitney import monomials_up_to, random_base_poly
 
+from conftest import curved_n1_two_entries
+
 
 @pytest.fixture
 def pol():
@@ -67,15 +69,6 @@ def taylor_lift(f, policy):
 
 def curved_n1():
     return ConnectionInput(1, {(0, 0, 0): MixedElement.base_var(2, 2)}, name="curved-n1")
-
-
-def curved_n1_two_entries():
-    """Gamma_111 = x2, Gamma_122 = x1: the connection perfbench's fedosov-star uses."""
-    return ConnectionInput(
-        1,
-        {(0, 0, 0): MixedElement.base_var(2, 2), (0, 1, 1): MixedElement.base_var(2, 1)},
-        name="gamma111-x2-gamma122-x1",
-    )
 
 
 # (connection, policy) settings for the monomial section table
@@ -398,3 +391,78 @@ def test_table_bounded_under_fresh_inputs(rng):
             first.append((f, section))
     for f, section in first:
         assert quantize(f, fd) == section
+
+
+# r, the D o D residual and a few monomial flat sections, recorded from the
+# earlier commutator that formed both Moyal products B o a and a o B in full.
+PINNED_FEDOSOV = {
+    "benchmark-n1": (
+        (
+            "(-1/4)*y1*y2^2*dx1 + (1/8)*y1^2*y2*dx1 + (-1/10)*x2*y1^3*y2*dx1"
+            " + (3/20)*x1*y1*y2^3*dx1 + (-3/20)*x1*y1^2*y2^2*dx1 + (-1/4)*x1*x2*y1^2*y2*dx1"
+            " + (1/4)*x1^2*y2^3*dx1 + (3/10)*x1^2*x2*y1^2*y2^2*dx1 + (1/10)*x1^3*y2^4*dx1"
+            " + (1/4)*y1^2*y2*dx2 + (-1/8)*y1^3*dx2 + (1/10)*x2*y1^4*dx2"
+            " + (-3/20)*x1*y1^2*y2^2*dx2 + (3/20)*x1*y1^3*y2*dx2 + (1/4)*x1*x2*y1^3*dx2"
+            " + (-1/4)*x1^2*y1*y2^2*dx2 + (-3/10)*x1^2*x2*y1^3*y2*dx2"
+            " + (-1/10)*x1^3*y1*y2^3*dx2"
+        ),
+        (
+            "(3/80)*y1^2*y2^2*dx1*dx2 + (1/16)*y1^3*y2*dx1*dx2 + (3/64)*y1^4*dx1*dx2"
+            " + (-9/8)*x1*x2*y1^3*y2*dx1*dx2 + (-3/80)*x1*x2*y1^4*dx1*dx2"
+            " + (-27/40)*x1^2*y1*y2^3*dx1*dx2 + (-9/16)*x1^2*y1^2*y2^2*dx1*dx2"
+            " + (-9/80)*x1^2*x2^2*y1^4*dx1*dx2 + (9/40)*x1^3*x2*y1^2*y2^2*dx1*dx2"
+            " + (-9/80)*x1^4*y2^4*dx1*dx2"
+        ),
+        {
+            "x1": (
+                "y1 + (-1/4)*y1^2*y2 + (-1/24)*y1^3 + (-1/10)*x2*y1^4 + x1 + (-1)*x1*y1*y2"
+                " + (3/20)*x1*y1^2*y2^2 + (1/10)*x1*y1^3*y2 + (-1/4)*x1*x2*y1^3"
+                " + (1/4)*x1^2*y1*y2^2 + (3/10)*x1^2*x2*y1^3*y2 + (1/10)*x1^3*y1*y2^3"
+            ),
+            "x1*x2": (
+                "y1*y2 + (1/12)*y1^3*y2 + x2*y1 + (-1/4)*x2*y1^2*y2 + (11/24)*x2*y1^3"
+                " + x1*y2 + (-1/4)*x1*y1*y2^2 + (1/8)*x1*y1^2*y2 + (-1/10)*x2^2*y1^4"
+                " + x1*x2 + (-1)*x1*x2*y1*y2 + (1/2)*x1*x2*y1^2 + (3/20)*x1*x2*y1^2*y2^2"
+                " + (-3/4)*x1*x2*y1^3*y2 + (1/2)*x1^2*y2^2 + (3/20)*x1^2*y1*y2^3"
+                " + (-3/20)*x1^2*y1^2*y2^2 + (-1/4)*x1*x2^2*y1^3 + (1/4)*x1^2*x2*y1*y2^2"
+                " + (-1/4)*x1^2*x2*y1^2*y2 + (1/4)*x1^3*y2^3 + (3/10)*x1^2*x2^2*y1^3*y2"
+                " + (1/10)*x1^3*x2*y1*y2^3 + (3/10)*x1^3*x2*y1^2*y2^2 + (1/10)*x1^4*y2^4"
+            ),
+            "h*x2^2": "y2^2*h + (2)*x2*y2*h + x2^2*h + x2^2*y1^2*h + x1*x2*y2^2*h",
+        },
+    ),
+    "curved-linear-n2": (
+        "(1/8)*y1^2*y2*dx1 + (-1/8)*y1^3*dx2",
+        "0",
+        {
+            "x2": "y2 + x2",
+            "x1*x3": (
+                "y1*y3 + (1/8)*y1^3*y2 + x3*y1 + (1/2)*x2*y1^3 + x1*y3 + (1/8)*x1*y1^2*y2"
+                " + x1*x3 + (1/2)*x1*x2*y1^2"
+            ),
+            "h*x2^2": "y2^2*h + (2)*x2*y2*h + x2^2*h",
+        },
+    ),
+    "laurent": (
+        "(1/8)*y1^2*y2*dx1 + (-1/8)*y1^3*dx2",
+        "(3/64)*y1^4*dx1*dx2",
+        {
+            "x1*x2": (
+                "y1*y2 + (1/12)*y1^3*y2 + x2*y1 + (11/24)*x2*y1^3 + x1*y2"
+                " + (1/8)*x1*y1^2*y2 + x1*x2 + (1/2)*x1*x2*y1^2"
+            ),
+            "h*x2^2": "y2^2*h + (2)*x2*y2*h + x2^2*h + x2^2*y1^2*h",
+            "h^-1*x1": "y1*h^-1 + (-1/24)*y1^3*h^-1 + (1/320)*y1^5*h^-1 + x1*h^-1",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FEDOSOV))
+def test_fedosov_data_pinned(case):
+    r, residual, sections = PINNED_FEDOSOV[case]
+    fd = table_fd(case)
+    assert str(fd.r) == r
+    assert str(fd.curvature_residual) == residual
+    for text, expected in sections.items():
+        assert str(quantize(E(text, fd.policy), fd)) == expected

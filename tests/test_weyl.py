@@ -4,6 +4,7 @@ import pytest
 
 from jetstar.elements import MixedElement, TruncationPolicy
 from jetstar.errors import ValidationError
+from jetstar.fedosov import ConnectionInput, build_A, generator_one_form
 from jetstar.parsing import parse_element
 from jetstar.scalars import Scalar, rational
 from jetstar.weyl import (
@@ -11,14 +12,13 @@ from jetstar.weyl import (
     delta_inv,
     delta_op,
     fedosov_degree,
-    graded_commutator_one_form,
     ihbar_commutator,
     moyal,
     pi_hat,
     star_commutator,
 )
 
-from conftest import random_element
+from conftest import curved_n1_two_entries, random_element
 
 
 @pytest.fixture
@@ -78,6 +78,41 @@ def moyal_oracle(a, b, pt, policy):
             term = left.mul(right, policy).scale(weight / Scalar(denom))
             result = result + term.scale(factor ** k).hbar_shift(k, policy)
     return result.truncate(policy)
+
+
+def ihbar_commutator_oracle(one_form, a, pt, policy):
+    """(i/h)(B o a - (-1)^{|a|} a o B) from both full Moyal products.
+
+    The products are taken under a window one h power and two Fedosov
+    degrees wider, so the division by h loses no retained order.
+    """
+    wide = TruncationPolicy(
+        policy.half_dim,
+        policy.jet_order,
+        policy.fedosov_order + 2,
+        policy.hbar_order + 1,
+        policy.hbar_min,
+    )
+    flipped = MixedElement(
+        a.dim, {key: (-c if len(key[3]) % 2 else c) for key, c in a.terms.items()}
+    )
+    comm = moyal(one_form, a, pt, wide) - moyal(flipped, one_form, pt, wide)
+    return comm.hbar_shift(-1).scale(Scalar.i()).truncate(policy)
+
+
+def commutator_case(name):
+    """(B, pt, policy): the flat generator, or GammaHat + r of a connection."""
+    if name.startswith("flat-generator"):
+        policy = TruncationPolicy(1, 6, 6, 3, hbar_min=-1 if "laurent" in name else 0)
+        pt = PoissonTensor.darboux(1)
+        return generator_one_form(pt, policy), pt, policy
+    conn, policy = {
+        "benchmark-n1": (curved_n1_two_entries(), TruncationPolicy(1, 6, 4, 1)),
+        "benchmark-n1-laurent": (curved_n1_two_entries(), TruncationPolicy(1, 6, 4, 1, -1)),
+        "curved-linear-n2": (ConnectionInput.curved_linear_n2(), TruncationPolicy(2, 6, 6, 2)),
+    }[name]
+    fd = build_A(conn, PoissonTensor.darboux(policy.half_dim), policy)
+    return fd.gamma_hat + fd.r, fd.pt, policy
 
 
 class TestPoissonTensor:
@@ -269,8 +304,6 @@ class TestDeltaOperators:
 class TestGeneratorAction:
     def test_ihbar_commutator_with_generator_is_minus_delta(self, rng, pt, pol):
         # the sign convention anchor: (i/h)[omega_{ij} y^i dx^j, a] = -delta a
-        from jetstar.fedosov import generator_one_form
-
         lam = generator_one_form(pt, pol)
         for _ in range(20):
             a = random_element(rng, pol)
@@ -278,11 +311,38 @@ class TestGeneratorAction:
 
     def test_graded_commutator_parity(self, pt, pol):
         lam_term = E("y1*dx1", pol)
-        even = E("y2^2", pol)
-        odd = E("y2*dx2", pol)
-        assert graded_commutator_one_form(lam_term, even, pt, pol) == moyal(
-            lam_term, even, pt, pol
-        ) - moyal(even, lam_term, pt, pol)
-        assert graded_commutator_one_form(lam_term, odd, pt, pol) == moyal(
-            lam_term, odd, pt, pol
-        ) + moyal(odd, lam_term, pt, pol)
+        wide = TruncationPolicy(1, 6, 8, 4)
+        # (i/h)(B o a - a o B) for even a, (i/h)(B o a + a o B) for odd a
+        for a, sign in ((E("y2^2", pol), -1), (E("y2*dx2", pol), 1)):
+            comm = moyal(lam_term, a, pt, wide) + moyal(a, lam_term, pt, wide).scale(Scalar(sign))
+            expected = comm.hbar_shift(-1).scale(Scalar.i()).truncate(pol)
+            assert not expected.is_zero()
+            assert ihbar_commutator(lam_term, a, pt, pol) == expected
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "flat-generator",
+            "flat-generator-laurent",
+            "benchmark-n1",
+            "benchmark-n1-laurent",
+            "curved-linear-n2",
+        ],
+    )
+    def test_ihbar_commutator_matches_two_products(self, case, rng):
+        one_form, pt, policy = commutator_case(case)
+        for _ in range(15):
+            a = random_element(rng, policy)
+            expected = ihbar_commutator_oracle(one_form, a, pt, policy)
+            assert ihbar_commutator(one_form, a, pt, policy) == expected
+        if policy.hbar_min < 0:
+            a = E("h^-1*y1*y2 + h^-1*x1*y2*dx1", policy)
+            expected = ihbar_commutator_oracle(one_form, a, pt, policy)
+            assert expected.hbar_orders()[0] == -1
+            assert ihbar_commutator(one_form, a, pt, policy) == expected
+
+    def test_ihbar_commutator_rejects_non_one_forms(self, pt, pol):
+        a = E("y1*y2", pol)
+        for bad in ("y1", "y1^2 + y1*dx1", "y1*dx1*dx2", "y2*dx2 + y1*dx1*dx2"):
+            with pytest.raises(ValidationError):
+                ihbar_commutator(E(bad, pol), a, pt, pol)
