@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 from . import __version__, derham, homology
 from .elements import TruncationPolicy
-from .errors import GuardrailError, JetstarError
+from .errors import GuardrailError, JetstarError, ValidationError
 from .fedosov import (
     BUILTIN_CONNECTIONS,
     ConnectionInput,
@@ -23,7 +23,7 @@ from .fedosov import (
     load_connection_file,
     star,
 )
-from .parsing import parse_element
+from .parsing import parse_element, read_json
 from .verify import run_suites
 from .weyl import PoissonTensor
 from .whitney import (
@@ -122,11 +122,16 @@ def _build_parser():
 def _resolve_config(args):
     merged = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_cfg = json.load(handle)
+        file_cfg = read_json(args.config)
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise JetstarError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            kind = int if type(DEFAULTS[key]) is int else str
+            if type(value) is not kind and not (value is None and DEFAULTS[key] is None):
+                raise ValidationError(f"config key {key!r} must be of type {kind.__name__}")
         merged.update(file_cfg)
     for key in DEFAULTS:
         value = getattr(args, key, None)

@@ -12,16 +12,20 @@ exact; the Brylinski complex lives on the star-image of that schedule
 an exact statement at truncation.  The Hodge star is solved degreewise from
 its defining relation  alpha ^ (*beta) = Lambda^k(alpha, beta) nu  with
 nu = omega^n / n! the symplectic volume form.
+
+d and the Brylinski boundary are each one rule on a basis form x^alpha dx^S
+(:func:`_d_rule`, :func:`_delta_rule`): :func:`d` and :func:`brylinski_delta`
+extend it linearly, and the dimension counts pass it to linalg.homology_dims.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from . import linalg
-from .elements import MixedElement, add_term
+from .elements import MixedElement, TruncationPolicy, add_term
 from .errors import DimensionMismatch, ValidationError
 from .scalars import Scalar, rational
 from .weyl import PoissonTensor
@@ -123,30 +127,43 @@ class WhitneyForm:
 # exterior derivative
 
 
-def d(form):
-    """Whitney-de Rham differential; consumes one coefficient degree."""
-    algebra = form.algebra
-    dim = algebra.subset.dim
-    if form.degree >= dim:
-        raise ValidationError("d on a top-degree form")
-    if form.cap - 1 < 0:
-        raise ValidationError("degree schedule exhausted")
+def _lower(alpha, j):
+    """The exponent of d/dx_j x^alpha (whose factor is alpha[j])."""
+    return alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+
+
+def _d_rule(forms, alpha):
+    """d on one basis form x^alpha dx^forms, as ((forms', alpha'), Scalar) pairs."""
+    for j, e in enumerate(alpha):
+        if e == 0 or j in forms:
+            continue
+        below = sum(1 for f in forms if f < j)
+        yield (tuple(sorted(forms + (j,))), _lower(alpha, j)), Scalar(-e if below % 2 else e)
+
+
+def _apply(rule, form, degree, cap):
+    """The linear extension of a basis rule to a form of the given target
+    degree and coefficient cap; h powers, fiber and form parts of each
+    coefficient term ride along."""
+    dim = form.algebra.subset.dim
     comps = []
     for data in form.comps:
         out = {}
         for forms, poly in data.items():
-            for j in range(dim):
-                if j in forms:
-                    continue
-                dp = poly.partial("base", j + 1)
-                if dp.is_zero():
-                    continue
-                below = sum(1 for f in forms if f < j)
-                if below % 2:
-                    dp = -dp
-                add_term(out, tuple(sorted(forms + (j,))), dp)
-        comps.append(out)
-    return WhitneyForm(algebra, form.degree + 1, form.cap - 1, comps)
+            for (alpha, beta, k, s), c in poly.terms.items():
+                for (target, image), w in rule(forms, alpha):
+                    add_term(out.setdefault(target, {}), (image, beta, k, s), c * w)
+        comps.append({forms: MixedElement._raw(dim, terms) for forms, terms in out.items()})
+    return WhitneyForm(form.algebra, degree, cap, comps)
+
+
+def d(form):
+    """Whitney-de Rham differential; consumes one coefficient degree."""
+    if form.degree >= form.algebra.subset.dim:
+        raise ValidationError("d on a top-degree form")
+    if form.cap - 1 < 0:
+        raise ValidationError("degree schedule exhausted")
+    return _apply(_d_rule, form, form.degree + 1, form.cap - 1)
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +221,6 @@ def volume_coefficient(pt):
     """nu = omega^n / n! as a multiple of dx1^...^dx2n (exact Scalar)."""
     dim = pt.dim
     omega_matrix = pt.symplectic_form_matrix()
-    from .elements import TruncationPolicy
-
     wide = TruncationPolicy(pt.half_dim, 0, 0, 0)
     two_form = MixedElement.zero(dim)
     for i in range(dim):
@@ -267,59 +282,49 @@ def _star_constants(half_dim, pi):
 def hodge_star(form, pt):
     """Symplectic Hodge star; pointwise, so the coefficient cap is kept."""
     table = _star_constants(pt.half_dim, pt.pi)
-    algebra = form.algebra
-    comps = []
-    for data in form.comps:
-        out = {}
-        for forms, poly in data.items():
-            for target, coeff in table[forms]:
-                add_term(out, target, poly.scale(coeff))
-        comps.append(out)
-    return WhitneyForm(algebra, algebra.subset.dim - form.degree, form.cap, comps)
+
+    def rule(forms, alpha):
+        return (((target, alpha), coeff) for target, coeff in table[forms])
+
+    return _apply(rule, form, form.algebra.subset.dim - form.degree, form.cap)
 
 
 # ----------------------------------------------------------------------
 # Brylinski boundary
 
 
-def brylinski_delta(form, pt):
-    """Poisson-homology boundary via the two-sum formula on wedge monomials.
+def _delta_rule(pt, forms, alpha):
+    """Brylinski delta on one basis form, as ((forms', alpha'), Scalar) pairs.
 
-    On p dx^{s_1} ^ ... ^ dx^{s_q} the bracket-with-coefficient sum is the
-    only survivor (coordinate brackets are constant), so
+    Coordinate brackets are constant, so only the bracket with the
+    coefficient survives:
 
-        delta(p dx^S) = sum_m (-1)^{m+1} {p, x^{s_m}} dx^{S minus s_m}.
+        delta(x^alpha dx^S) = sum_m (-1)^m sum_i Pi^{i s_m} (d_i x^alpha) dx^{S minus s_m}.
     """
+    for m, s in enumerate(forms):
+        rest = forms[:m] + forms[m + 1:]
+        for i, e in enumerate(alpha):
+            w = pt.pi[i][s]
+            if e == 0 or w.is_zero():
+                continue
+            yield (rest, _lower(alpha, i)), w * Scalar(-e if m % 2 else e)
+
+
+def _delta(pt, dim):
+    """The Brylinski rule of ``pt`` for forms on a ``dim``-dimensional subset."""
+    if pt.dim != dim:
+        raise DimensionMismatch(
+            f"Poisson tensor of dimension {pt.dim} on a subset of dimension {dim}"
+        )
+    return partial(_delta_rule, pt)
+
+
+def brylinski_delta(form, pt):
+    """Poisson-homology boundary: the linear extension of :func:`_delta_rule`."""
     if form.degree < 1:
         raise ValidationError("delta on a 0-form")
-    algebra = form.algebra
-    comps = []
-    for data in form.comps:
-        out = {}
-        for forms, poly in data.items():
-            for m, s in enumerate(forms):
-                bracket = _poisson_with_coordinate(poly, s, pt)
-                if bracket.is_zero():
-                    continue
-                if m % 2:
-                    bracket = -bracket
-                add_term(out, forms[:m] + forms[m + 1:], bracket)
-        comps.append(out)
-    return WhitneyForm(algebra, form.degree - 1, max(form.cap - 1, 0), comps)
-
-
-def _poisson_with_coordinate(poly, s, pt):
-    """{p, x^s} = sum_i Pi^{is} d_i p."""
-    dim = poly.dim
-    total = MixedElement.zero(dim)
-    for i in range(dim):
-        w = pt.pi[i][s]
-        if w.is_zero():
-            continue
-        dp = poly.partial("base", i + 1)
-        if not dp.is_zero():
-            total = total + dp.scale(w)
-    return total
+    rule = _delta(pt, form.algebra.subset.dim)
+    return _apply(rule, form, form.degree - 1, max(form.cap - 1, 0))
 
 
 def delta_via_star(form, pt):
@@ -336,99 +341,28 @@ def delta_via_star(form, pt):
 # cohomology / homology dimension counts
 
 
-def _form_basis(dim, degree, cap):
-    monos = monomials_up_to(dim, cap)
-    return [
-        (forms, alpha)
-        for forms in combinations(range(dim), degree)
-        for alpha in monos
-    ]
-
-
-def _d_matrix(dim, degree, cap_domain):
-    """Transposed matrix of d from degree-``degree`` forms (coeff cap
-    cap_domain): one sparse ``{target index: Scalar}`` row per domain form."""
-    target = _form_basis(dim, degree + 1, cap_domain - 1)
-    index = {key: i for i, key in enumerate(target)}
-    rows = []
-    for forms, alpha in _form_basis(dim, degree, cap_domain):
-        row = {}
-        for j in range(dim):
-            if j in forms or alpha[j] == 0:
-                continue
-            new_alpha = tuple(v - 1 if m == j else v for m, v in enumerate(alpha))
-            below = sum(1 for f in forms if f < j)
-            sign = -1 if below % 2 else 1
-            row[index[(tuple(sorted(forms + (j,))), new_alpha)]] = Scalar(sign * alpha[j])
-        rows.append(row)
-    return rows, len(target)
-
-
-def _delta_matrix(pt, degree, cap_domain):
-    """Transposed matrix of the Brylinski boundary from degree-``degree``
-    forms: one sparse ``{target index: Scalar}`` row per domain form."""
-    dim = pt.dim
-    target = _form_basis(dim, degree - 1, cap_domain - 1)
-    index = {key: i for i, key in enumerate(target)}
-    rows = []
-    for forms, alpha in _form_basis(dim, degree, cap_domain):
-        row = {}
-        for m, s in enumerate(forms):
-            outer_sign = -1 if m % 2 else 1
-            for i in range(dim):
-                w = pt.pi[i][s]
-                if w.is_zero() or alpha[i] == 0:
-                    continue
-                new_alpha = tuple(v - 1 if q == i else v for q, v in enumerate(alpha))
-                key = (forms[:m] + forms[m + 1:], new_alpha)
-                row[index[key]] = w * Scalar(outer_sign * alpha[i])
-        rows.append(row)
-    return rows, len(target)
-
-
 def cohomology_dims(subset, policy):
     """Whitney-de Rham Betti numbers under the descending cap schedule."""
-    dim = subset.dim
-    if policy.jet_order < dim:
-        raise ValidationError("jet_order must be at least 2n for all form degrees")
-    n_comp = len(subset.components())
-    ranks = []
-    dims = []
-    for q in range(dim + 1):
-        cap = policy.jet_order - q
-        dims.append(len(_form_basis(dim, q, cap)))
-        if q < dim:
-            ranks.append(linalg.rank_sparse(*_d_matrix(dim, q, cap)))
-        else:
-            ranks.append(0)
-    betti = []
-    for q in range(dim + 1):
-        incoming = ranks[q - 1] if q > 0 else 0
-        betti.append(n_comp * (dims[q] - ranks[q] - incoming))
-    return betti
+    return _form_homology(subset, policy, _d_rule, +1)
 
 
 def poisson_homology_dims(subset, pt, policy):
     """Brylinski homology dimensions on the reversed cap schedule."""
+    return _form_homology(subset, policy, _delta(pt, subset.dim), -1)
+
+
+def _form_homology(subset, policy, rule, step):
+    """Homology of the form complex of ``rule`` (d: step +1, cap N - q at
+    degree q; delta: step -1, cap N - 2n + q), times the component count."""
     dim = subset.dim
     if policy.jet_order < dim:
         raise ValidationError("jet_order must be at least 2n for all form degrees")
-    n_comp = len(subset.components())
-    ranks = []
-    dims = []
+    bases = []
     for q in range(dim + 1):
-        cap = policy.jet_order - (dim - q)
-        dims.append(len(_form_basis(dim, q, cap)))
-        if q >= 1:
-            ranks.append(linalg.rank_sparse(*_delta_matrix(pt, q, cap)))
-        else:
-            ranks.append(0)
-    homology = []
-    for q in range(dim + 1):
-        outgoing = ranks[q]
-        incoming = ranks[q + 1] if q + 1 <= dim else 0
-        homology.append(n_comp * (dims[q] - outgoing - incoming))
-    return homology
+        monos = monomials_up_to(dim, policy.jet_order - (q if step > 0 else dim - q))
+        bases.append([(forms, alpha) for forms in combinations(range(dim), q) for alpha in monos])
+    dims, _ = linalg.homology_dims(bases, lambda key: rule(*key), step)
+    return [len(subset.components()) * h for h in dims]
 
 
 def duality_table(subset, pt, policy):

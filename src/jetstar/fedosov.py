@@ -18,10 +18,9 @@ only the fiber-degree-0 part of q(f) o q(g).
 
 from __future__ import annotations
 
-import json
-
 from .elements import MixedElement, TruncationPolicy, add_term, sum_of_products
 from .errors import ConvergenceError, ValidationError
+from .parsing import json_field, parse_element, read_json
 from .scalars import Scalar, rational
 from .weyl import (
     PoissonTensor,
@@ -118,26 +117,22 @@ def builtin_connection(name, half_dim):
 
 
 def load_connection_json(data):
-    half_dim = int(data["half_dim"])
-    from .parsing import parse_element
-
+    half_dim = json_field(data, "half_dim", int)
     wide = TruncationPolicy(half_dim, 1 << 20, 1 << 20, 1 << 20)
     entries = {}
-    for item in data.get("gamma", []):
-        indices = tuple(int(v) - 1 for v in item["indices"])
-        poly = parse_element(item["poly"], wide)
-        entries[indices] = poly
+    for item in json_field(data, "gamma", list) if "gamma" in data else []:
+        indices = json_field(item, "indices", lambda triple: tuple(int(v) - 1 for v in triple))
+        entries[indices] = parse_element(json_field(item, "poly", str), wide)
     conn = ConnectionInput(half_dim, entries, name=data.get("name", "custom"))
     if "pi" in data:
-        pt = PoissonTensor.from_matrix_strings(half_dim, data["pi"])
+        pt = json_field(data, "pi", lambda rows: PoissonTensor.from_matrix_strings(half_dim, rows))
     else:
         pt = PoissonTensor.darboux(half_dim)
     return conn, pt
 
 
 def load_connection_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_connection_json(json.load(handle))
+    return load_connection_json(read_json(path))
 
 
 def gamma_hat(conn, policy):

@@ -8,6 +8,11 @@ which is a star-ideal for Darboux/Moyal products; associativity of every
 built table is verified exhaustively, so the chain identities b^2 = 0,
 B^2 = 0 and bB + Bb = 0 hold on the nose.
 
+Hochschild b and Connes B are each one rule on an elementary tensor
+(:func:`_b_rule`, :func:`_connes_rule`): :func:`hochschild_b` and
+:func:`connes_B` extend it linearly to chains, and :func:`hochschild_dims`
+passes ``_b_rule`` to linalg.homology_dims.
+
 The chain-to-form comparison maps carry the 1/k! normalization on mu, which
 makes  mu o B = d o mu  hold with constant 1 and  mu o eps = id.
 """
@@ -18,7 +23,7 @@ import math
 from itertools import permutations, product
 
 from . import linalg
-from .derham import WhitneyForm, brylinski_delta, sorted_sign
+from .derham import WhitneyForm, _d_rule, brylinski_delta, sorted_sign
 from .elements import MixedElement, add_term
 from .errors import GuardrailError, ValidationError
 from .fedosov import star
@@ -234,45 +239,58 @@ class ChainVector:
         return f"ChainVector(q={self.q}, terms={len(self.terms)})"
 
 
-def _accumulate(terms, key, coeff, algebra, normalized):
-    """Add a chain term; the normalized complex drops degenerate tensors
-    (the unit in a position >= 1)."""
-    if not (normalized and algebra.unit in key[1:]):
-        add_term(terms, key, coeff)
+def _degenerate(tensor, algebra):
+    """True for a tensor the normalized complex drops (the unit in a slot >= 1)."""
+    return algebra.unit in tensor[1:]
+
+
+def _b_rule(key, algebra, normalized=True):
+    """Hochschild b on one elementary tensor, as (tensor', Scalar) pairs.
+
+    Face i < q multiplies slots i and i + 1 with sign (-1)^i; face q
+    multiplies the last slot into the first with sign (-1)^q.
+    """
+    q = len(key) - 1
+    faces = [(key[i], key[i + 1], key[:i], key[i + 2:]) for i in range(q)]
+    faces.append((key[q], key[0], (), key[1:q]))
+    for i, (left, right, before, after) in enumerate(faces):
+        for idx, w in algebra.product(left, right).items():
+            tensor = before + (idx,) + after
+            if not (normalized and _degenerate(tensor, algebra)):
+                yield tensor, -w if i % 2 else w
+
+
+def _connes_rule(key, algebra):
+    """Connes B on one elementary tensor: signed unit insertions in front of
+    each cyclic rotation, degenerate tensors dropped."""
+    q = len(key) - 1
+    for i in range(q + 1):
+        tensor = (algebra.unit,) + key[i:] + key[:i]
+        if not _degenerate(tensor, algebra):
+            yield tensor, Scalar(-1 if (q * i) % 2 else 1)
+
+
+def _extend(rule, chain, q):
+    """The linear extension of a tensor rule to a chain of target degree q."""
+    terms = {}
+    for key, coeff in chain.terms.items():
+        for tensor, w in rule(key):
+            add_term(terms, tensor, coeff * w)
+    return ChainVector(q, terms, chain.normalized)
 
 
 def hochschild_b(chain, algebra):
     """Alternating-sum Hochschild boundary using the product table."""
-    q = chain.q
-    if q < 1:
+    if chain.q < 1:
         raise ValidationError("hochschild_b needs chain degree >= 1")
-    terms = {}
-    for key, coeff in chain.terms.items():
-        for i in range(q):
-            sign = Scalar(-1 if i % 2 else 1)
-            for idx, w in algebra.product(key[i], key[i + 1]).items():
-                new_key = key[:i] + (idx,) + key[i + 2:]
-                _accumulate(terms, new_key, coeff * sign * w, algebra, chain.normalized)
-        sign = Scalar(-1 if q % 2 else 1)
-        for idx, w in algebra.product(key[q], key[0]).items():
-            new_key = (idx,) + key[1:q]
-            _accumulate(terms, new_key, coeff * sign * w, algebra, chain.normalized)
-    return ChainVector(q - 1, terms, chain.normalized)
+    return _extend(lambda key: _b_rule(key, algebra, chain.normalized), chain, chain.q - 1)
 
 
 def connes_B(chain, algebra):
     """Connes boundary on the normalized complex (unit insertion)."""
     if not chain.normalized:
         raise ValidationError("connes_B is defined on the normalized complex")
-    q = chain.q
-    terms = {}
-    for key, coeff in chain.terms.items():
-        for i in range(q + 1):
-            sign = Scalar(-1 if (q * i) % 2 else 1)
-            rotated = key[i:] + key[:i]
-            new_key = (algebra.unit,) + rotated
-            _accumulate(terms, new_key, coeff * sign, algebra, True)
-    return ChainVector(q + 1, terms, True)
+    return _extend(lambda key: _connes_rule(key, algebra), chain, chain.q + 1)
 
 
 def mu(chain, algebra):
@@ -301,18 +319,12 @@ def mu(chain, algebra):
             alpha = algebra.basis[slot][0]
             next_forms = {}
             for forms, poly in partial_forms.items():
-                for j in range(dim):
-                    if alpha[j] == 0 or j in forms:
+                for ((j,), dmono), w in _d_rule((), alpha):
+                    if j in forms:
                         continue
-                    dmono = tuple(v - 1 if m == j else v for m, v in enumerate(alpha))
-                    factor = MixedElement.monomial(dim, Scalar(alpha[j]), alpha=dmono)
-                    term = poly.mul(factor, walg.policy)
-                    if term.is_zero():
-                        continue
+                    term = poly.mul(MixedElement.monomial(dim, w, alpha=dmono), walg.policy)
                     above = sum(1 for f in forms if f > j)
-                    if above % 2:
-                        term = -term
-                    add_term(next_forms, tuple(sorted(forms + (j,))), term)
+                    add_term(next_forms, tuple(sorted(forms + (j,))), -term if above % 2 else term)
             partial_forms = next_forms
             if not partial_forms:
                 break
@@ -335,7 +347,8 @@ def antisymmetrize(form, algebra):
             for sigma in permutations(range(q)):
                 sign = sorted_sign(sigma)
                 key = (slot0,) + tuple(coordinate_slots[sigma[m]] for m in range(q))
-                _accumulate(terms, key, coeff * Scalar(sign), algebra, True)
+                if not _degenerate(key, algebra):
+                    add_term(terms, key, coeff * Scalar(sign))
     return ChainVector(q, terms, True)
 
 
@@ -414,40 +427,19 @@ def hochschild_dims(algebra, q_max):
     """
     check_hochschild_size(algebra.dim, q_max)
     non_unit = [i for i in range(algebra.dim) if i != algebra.unit]
-
-    def chain_basis(q):
-        return [
-            (first,) + rest
-            for first in range(algebra.dim)
-            for rest in product(non_unit, repeat=q)
-        ]
-
-    ranks = {0: 0}
-    dims = {}
-    for q in range(q_max + 2):
-        basis = chain_basis(q)
-        dims[q] = len(basis)
-        if q >= 1:
-            target_index = {key: i for i, key in enumerate(chain_basis(q - 1))}
-            rows = []
-            for key in basis:
-                image = hochschild_b(ChainVector.elementary(key), algebra)
-                rows.append(
-                    {target_index[t]: c for t, c in image.terms.items()}
-                )
-            ranks[q] = linalg.rank_sparse(rows, len(target_index))
-    out = []
-    table = []
-    for q in range(q_max + 1):
-        hh = dims[q] - ranks[q] - ranks[q + 1]
-        out.append(hh)
-        table.append(
-            {"q": q, "dim_chain": dims[q], "rank_b": ranks[q + 1], "homology_dim": hh}
-        )
+    bases = [
+        [(first,) + rest for first in range(algebra.dim) for rest in product(non_unit, repeat=q)]
+        for q in range(q_max + 2)
+    ]
+    dims, ranks = linalg.homology_dims(bases, lambda key: _b_rule(key, algebra), -1)
+    table = [
+        {"q": q, "dim_chain": len(bases[q]), "rank_b": ranks[q + 1], "homology_dim": dims[q]}
+        for q in range(q_max + 1)
+    ]
     return {
         "algebra": algebra.describe(),
-        "dims": out,
+        "dims": dims[: q_max + 1],
         "table": table,
-        "chain_dims": [dims[q] for q in range(q_max + 2)],
+        "chain_dims": [len(basis) for basis in bases],
         "caveat": "truncated-model homology; not the Laurent-series homology",
     }

@@ -6,7 +6,8 @@ dicts; work is proportional to the nonzeros, which is what the very sparse
 integer matrices of the de Rham, Brylinski, jet-evaluation and Hochschild
 complexes need.  Pivots are taken in column order and the rows are fully
 reduced, so the result is the unique reduced row-echelon form and every
-normal form built from it is reproducible.
+normal form built from it is reproducible.  :func:`homology_dims` builds
+those rows from a boundary rule on basis elements (d, delta, Hochschild b).
 
 The dense routines (:func:`rref`, :func:`rank`, :func:`kernel_basis` over
 lists of rows) are kept as independent oracles for the tests; no computation
@@ -106,6 +107,35 @@ def eliminate(rows, ncols):
 def rank_sparse(rows, ncols):
     """Rank of a sparse matrix given as a list of {col: Scalar} rows."""
     return len(eliminate(rows, ncols)[0])
+
+
+def homology_dims(bases, rule, step):
+    """Homology dimensions of a complex given by a rule on basis elements.
+
+    ``bases[q]`` lists the keys of degree q; ``rule(key)`` yields the
+    ``(target key, Scalar)`` image of one key in degree ``q + step`` (+1 for
+    d, -1 for a boundary).  The complex is zero outside the given degrees.
+    Returns ``(dims, ranks)``, ``ranks[q]`` being the rank of the map out of q.
+    """
+    top = len(bases)
+    ranks = []
+    for q, basis in enumerate(bases):
+        if not 0 <= q + step < top:
+            ranks.append(0)
+            continue
+        index = {key: i for i, key in enumerate(bases[q + step])}
+        rows = []
+        for key in basis:
+            row = {}
+            for target, coeff in rule(key):
+                add_term(row, index[target], coeff)
+            rows.append(row)
+        ranks.append(rank_sparse(rows, len(index)))
+    dims = [
+        len(basis) - ranks[q] - (ranks[q - step] if 0 <= q - step < top else 0)
+        for q, basis in enumerate(bases)
+    ]
+    return dims, ranks
 
 
 def null_space(pivots, reduced, ncols):

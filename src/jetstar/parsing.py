@@ -15,14 +15,19 @@ factors may be written either way (``dx1*dx2`` or ``dx1^dx2``); antisymmetry
 is applied by the product itself.  ``/`` divides by an invertible factor
 (a scalar, possibly times a power of ``h``).  Exceeding a policy cap is not
 an error: the offending terms are dropped and reported as a notice.
+
+:func:`read_json` and :func:`json_field` read the JSON input files (subsets,
+connections, configs); malformed JSON, a missing key or a value of the wrong
+type is a :class:`ValidationError` that names the file or the key.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .elements import MixedElement, TruncationPolicy
-from .errors import ParseError, ValidationError
+from .errors import JetstarError, ParseError, ValidationError
 from .scalars import Scalar
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(dx\d+|x\d+|y\d+|h|i)|([()+\-*/^]))")
@@ -221,3 +226,27 @@ def parse_element(text, policy, notices=None):
     if dropped and notices is not None:
         notices.append(f"truncation: {dropped} term(s) beyond policy caps dropped")
     return truncated
+
+
+def read_json(path):
+    """The JSON value stored at ``path``; malformed JSON is a ValidationError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+
+
+def json_field(data, key, convert):
+    """``convert(data[key])``; a missing key or a value ``convert`` rejects
+    is a ValidationError naming ``key``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"expected a JSON object with key {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise ValidationError(f"missing key {key!r}")
+    try:
+        return convert(data[key])
+    except JetstarError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid value for {key!r}: {exc}") from None

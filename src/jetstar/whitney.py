@@ -13,12 +13,11 @@ rebased polynomial has normal degree > m.
 
 from __future__ import annotations
 
-import json
-
 from . import linalg
 from .elements import MixedElement, add_term
 from .errors import DimensionMismatch, ValidationError
 from .fedosov import star
+from .parsing import json_field, read_json
 from .scalars import Scalar, rational
 from .weyl import poisson_bracket_base
 
@@ -156,20 +155,19 @@ def builtin_subset(name):
 
 
 def load_subset_json(data):
-    dim = int(data["dim"])
+    dim = json_field(data, "dim", int)
     germs = [
         Germ(
-            tuple(rational(v) for v in item["point"]),
-            tuple(int(d) - 1 for d in item["directions"]),
+            json_field(item, "point", lambda point: tuple(rational(v) for v in point)),
+            json_field(item, "directions", lambda dirs: tuple(int(d) - 1 for d in dirs)),
         )
-        for item in data["germs"]
+        for item in json_field(data, "germs", list)
     ]
     return SubsetModel(dim, germs, name=data.get("name", "custom"))
 
 
 def load_subset_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_subset_json(json.load(handle))
+    return load_subset_json(read_json(path))
 
 
 def monomials_up_to(dim, cap):

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from conftest import curved_n1_two_entries
 from jetstar import homology
 from jetstar.cli import main
+from jetstar.fedosov import load_connection_json
+from jetstar.weyl import PoissonTensor
 
 
 def run(capsys, *argv):
@@ -233,3 +236,62 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nope": 1}))
         code, _, err = run(capsys, "verify", "--suite", "weyl", "--config", str(cfg))
         assert code == 2
+
+
+GOOD_SUBSET = {"dim": 2, "germs": [{"point": ["0", "0"], "directions": []}]}
+MALFORMED = {
+    "subset-without-germs": ("--subset", {"dim": 2}),
+    "subset-point-not-a-number": (
+        "--subset", {"dim": 2, "germs": [{"point": ["a", "0"], "directions": []}]},
+    ),
+    "subset-top-level-list": ("--subset", [GOOD_SUBSET]),
+    "subset-not-json": ("--subset", '{"dim": 2,'),
+    "connection-without-half-dim": ("--connection", {"gamma": []}),
+    "connection-without-poly": (
+        "--connection", {"half_dim": 1, "gamma": [{"indices": [1, 1, 1]}]},
+    ),
+    "connection-not-json": ("--connection", "{"),
+    "config-dim-not-an-integer": ("--config", {"dim": "x"}),
+    "config-top-level-list": ("--config", [1]),
+    "config-not-json": ("--config", "dim = 1"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_one_error_line(self, case, capsys, tmp_path):
+        flag, content = MALFORMED[case]
+        path = tmp_path / "input.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        command = "homology" if flag == "--subset" else "verify"
+        argv = [command, flag, str(path)]
+        if command == "verify":
+            argv += ["--suite", "weyl", "--trials", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_subset_dimension_differs_from_tensor(self, capsys, tmp_path):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(
+            {"dim": 3, "germs": [{"point": ["0", "0", "0"], "directions": []}]}
+        ))
+        code, out, err = run(capsys, "homology", "--subset", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: Poisson tensor of dimension 2 on a subset of dimension 3\n"
+
+    def test_benchmark_connection_loads(self):
+        # the fedosov-star workload's connection, in its JSON form
+        conn, pt = load_connection_json({
+            "name": "gamma111-x2-gamma122-x1",
+            "half_dim": 1,
+            "gamma": [
+                {"indices": [1, 1, 1], "poly": "x2"},
+                {"indices": [1, 2, 2], "poly": "x1"},
+            ],
+        })
+        assert conn.entries == curved_n1_two_entries().entries
+        assert conn.name == "gamma111-x2-gamma122-x1"
+        assert pt.pi == PoissonTensor.darboux(1).pi

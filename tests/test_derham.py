@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from conftest import random_scalar
 from jetstar.derham import (
     WhitneyForm,
     brylinski_delta,
@@ -13,12 +16,12 @@ from jetstar.derham import (
     random_form,
     volume_coefficient,
 )
-from jetstar.elements import MixedElement, TruncationPolicy
-from jetstar.errors import ValidationError
+from jetstar.elements import MixedElement, TruncationPolicy, add_term
+from jetstar.errors import DimensionMismatch, ValidationError
 from jetstar.parsing import parse_element
 from jetstar.scalars import Scalar, rational
 from jetstar.weyl import PoissonTensor
-from jetstar.whitney import WhitneyAlgebra, builtin_subset
+from jetstar.whitney import Germ, SubsetModel, WhitneyAlgebra, builtin_subset, monomials_up_to
 
 
 @pytest.fixture
@@ -236,3 +239,94 @@ class TestDimensionCounts:
 
     def test_poisson_dims_concentrated_in_top(self, pt, pol):
         assert poisson_homology_dims(builtin_subset("two-points"), pt, pol) == [0, 0, 2]
+
+
+# ----------------------------------------------------------------------
+# the basis rules against independent form-level routes
+
+
+def d_oracle(form):
+    """d through ``MixedElement.partial``: d(p dx^S) = sum_j d_j p dx^j ^ dx^S."""
+    dim = form.algebra.subset.dim
+    comps = []
+    for data in form.comps:
+        out = {}
+        for forms, poly in data.items():
+            for j in range(dim):
+                if j in forms:
+                    continue
+                dp = poly.partial("base", j + 1)
+                below = sum(1 for f in forms if f < j)
+                add_term(out, tuple(sorted(forms + (j,))), -dp if below % 2 else dp)
+        comps.append(out)
+    return WhitneyForm(form.algebra, form.degree + 1, form.cap - 1, comps)
+
+
+def delta_oracle(form, pt):
+    """delta(p dx^S) = sum_m (-1)^m {p, x^{s_m}} dx^{S minus s_m}, with the
+    coordinate bracket {p, x^s} = sum_i Pi^{is} d_i p."""
+    dim = form.algebra.subset.dim
+    comps = []
+    for data in form.comps:
+        out = {}
+        for forms, poly in data.items():
+            for m, s in enumerate(forms):
+                bracket = MixedElement.zero(dim)
+                for i in range(dim):
+                    bracket = bracket + poly.partial("base", i + 1).scale(pt.pi[i][s])
+                add_term(out, forms[:m] + forms[m + 1:], -bracket if m % 2 else bracket)
+        comps.append(out)
+    return WhitneyForm(form.algebra, form.degree - 1, max(form.cap - 1, 0), comps)
+
+
+def hbar_form(rng, walg, degree, cap, terms=4):
+    """A random form whose coefficients carry h powers (negative ones too)
+    and Gaussian rational scalars."""
+    dim = walg.subset.dim
+    monos = monomials_up_to(dim, cap)
+    wedges = list(combinations(range(dim), degree))
+    comps = []
+    for _ in range(walg.n_components):
+        data = {}
+        for _ in range(terms):
+            poly = MixedElement.monomial(
+                dim, random_scalar(rng), alpha=rng.choice(monos), k=rng.randint(-1, 2)
+            )
+            add_term(data, rng.choice(wedges), poly)
+        comps.append(data)
+    return WhitneyForm(walg, degree, cap, comps)
+
+
+RULE_CASES = {
+    "n1-point": ("point", PoissonTensor.darboux(1)),
+    "n1-cross": ("cross", PoissonTensor.darboux(1)),
+    "n1-two-points": ("two-points", PoissonTensor.darboux(1)),
+    "n2-plane": ("plane-in-r4", PoissonTensor.darboux(2)),
+    "n1-scaled": ("point", PoissonTensor(1, [[0, 2], [-2, 0]])),
+    "n2-skewed": ("plane-in-r4", PoissonTensor(
+        2, [[0, 0, 1, 1], [0, 0, -1, 2], [-1, 1, 0, 0], [-1, -2, 0, 0]],
+    )),
+}
+
+
+class TestBasisRules:
+    @pytest.mark.parametrize("case", sorted(RULE_CASES))
+    def test_rules_match_form_level_routes(self, case, rng):
+        name, tensor = RULE_CASES[case]
+        walg = WhitneyAlgebra(builtin_subset(name), TruncationPolicy(tensor.half_dim, 4, 2, 1))
+        dim = tensor.dim
+        for q in range(dim + 1):
+            for _ in range(5):
+                form = hbar_form(rng, walg, q, 4 - q)
+                if q < dim:
+                    assert d(form) == d_oracle(form)
+                if q > 0:
+                    assert brylinski_delta(form, tensor) == delta_oracle(form, tensor)
+
+    def test_tensor_of_another_dimension_rejected(self, rng):
+        odd = SubsetModel(3, [Germ((0, 0, 0), ())])
+        with pytest.raises(DimensionMismatch):
+            poisson_homology_dims(odd, PoissonTensor.darboux(1), TruncationPolicy(1, 4, 2, 1))
+        walg = WhitneyAlgebra(builtin_subset("plane-in-r4"), TruncationPolicy(2, 4, 2, 1))
+        with pytest.raises(DimensionMismatch):
+            brylinski_delta(random_form(rng, walg, 1, 3), PoissonTensor.darboux(1))

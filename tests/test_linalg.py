@@ -2,6 +2,7 @@ import random
 
 from jetstar.linalg import (
     eliminate,
+    homology_dims,
     invert,
     kernel_basis,
     null_space,
@@ -173,3 +174,34 @@ def test_invert_matches_dense_oracle(rng=random.Random(11)):
         else:
             assert inv == [row[n:] for row in work]
     assert singular > 5
+
+
+# simplicial complex of a triangle with a loop: vertices a, b, c, edges xy
+# with boundary y - x (so the loop aa has boundary a - a = 0 and its row
+# must sum the repeated target), and the face abc with boundary bc - ac + ab
+VERTICES = ["a", "b", "c"]
+EDGES = ["ab", "bc", "ac", "aa"]
+
+
+def boundary(cell):
+    if len(cell) == 2:
+        return [(cell[1], Scalar(1)), (cell[0], Scalar(-1))]
+    return [("bc", Scalar(1)), ("ac", Scalar(-1)), ("ab", Scalar(1))]
+
+
+def coboundary(cell):
+    """The transpose of :func:`boundary` on vertices and edges."""
+    cells = EDGES if len(cell) == 1 else ["abc"]
+    return [(up, c) for up in cells for down, c in boundary(up) if down == cell]
+
+
+def test_homology_dims_of_a_circle_with_a_loop_both_directions():
+    bases = [VERTICES, EDGES]
+    assert homology_dims(bases, boundary, -1) == ([1, 2], [0, 2])
+    assert homology_dims(bases, coboundary, +1) == ([1, 2], [2, 0])
+
+
+def test_homology_dims_of_a_filled_triangle_with_a_loop_both_directions():
+    bases = [VERTICES, EDGES, ["abc"]]
+    assert homology_dims(bases, boundary, -1) == ([1, 1, 0], [0, 2, 1])
+    assert homology_dims(bases, coboundary, +1) == ([1, 1, 0], [2, 1, 0])
