@@ -1,7 +1,16 @@
 """Command-line interface: star products, verification suites, homology reports.
 
-Reports are deterministic: the same config and seed produce byte-identical
-JSON.  Exit codes: 0 success, 1 at least one failed check, 2 invalid
+Each command reads its own settings (``SETTINGS``, ``COMMANDS``) from flags
+or a ``--config`` JSON object, flags winning, and rejects any other:
+
+- ``star``: dim, jet_order, fedosov_order, hbar_order, hbar_min, subset,
+  connection, format, out;
+- ``verify``: dim, subset, connection, seed, trials, format, out;
+- ``homology``: jet_order, subset, format, out.
+
+A report's ``config`` block echoes the settings its command read, ``out``
+aside, with the command and package version.  Reports are deterministic:
+the same config and seed produce byte-identical JSON.  Exit codes: 0 success, 1 at least one failed check, 2 invalid
 configuration or input.
 """
 
@@ -10,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from . import __version__, derham, homology
 from .elements import TruncationPolicy
@@ -24,7 +33,7 @@ from .fedosov import (
     star,
 )
 from .parsing import parse_element, read_json
-from .verify import run_suites
+from .verify import SUITES, run_suites
 from .weyl import PoissonTensor
 from .whitney import (
     BUILTIN_SUBSETS,
@@ -35,46 +44,58 @@ from .whitney import (
 
 SCHEMA = "jetstar-report/1"
 
-DEFAULTS = {
-    "dim": 1,
-    "jet_order": 6,
-    "fedosov_order": 6,
-    "hbar_order": 2,
-    "hbar_min": 0,
-    "subset": None,
-    "connection": "flat",
-    "seed": 0,
-    "trials": 8,
-    "format": "text",
-    "out": None,
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting: its value type, default, flag help and the check that a
+    flag and a config-file value both pass."""
+
+    kind: type
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
+    minimum: int | None = None
+
+    def check(self, key, value):
+        if type(value) is not self.kind and not (value is None and self.default is None):
+            raise ValidationError(f"config key {key!r} must be of type {self.kind.__name__}")
+        if self.choices and value not in self.choices:
+            raise ValidationError(f"{key} must be one of {'|'.join(self.choices)}, got {value!r}")
+        if self.minimum is not None and value < self.minimum:
+            raise ValidationError(f"{key} must be >= {self.minimum}, got {value}")
+        return value
+
+
+SETTINGS = {
+    "dim": Setting(int, 1, "half-dimension n (ambient dim is 2n)"),
+    "jet_order": Setting(int, 6),
+    "fedosov_order": Setting(int, 6),
+    "hbar_order": Setting(int, 2),
+    "hbar_min": Setting(int, 0),
+    "subset": Setting(str, None, "built-in subset name or JSON path"),
+    "connection": Setting(str, "flat", "built-in connection name or JSON path"),
+    "seed": Setting(int, 0),
+    "trials": Setting(int, 8, minimum=1),
+    "format": Setting(str, "text", choices=("json", "text")),
+    "out": Setting(str, None, "write the report to this path"),
 }
 
-
-@dataclass
-class RunConfig:
-    command: str
-    dim: int
-    jet_order: int
-    fedosov_order: int
-    hbar_order: int
-    hbar_min: int
-    subset: str | None
-    connection: str
-    seed: int
-    trials: int
-    format: str
-    out: str | None
-
-    def policy(self):
-        return TruncationPolicy(
-            self.dim, self.jet_order, self.fedosov_order, self.hbar_order, self.hbar_min
-        )
-
-    def resolved(self):
-        data = asdict(self)
-        data.pop("out", None)  # where the report goes, not what it means
-        data["version"] = __version__
-        return data
+# each command's help and the settings it reads; it accepts no others
+COMMANDS = {
+    "star": (
+        "print the star product of two expressions",
+        ("dim", "jet_order", "fedosov_order", "hbar_order", "hbar_min", "subset",
+         "connection", "format", "out"),
+    ),
+    "verify": (
+        "run seeded invariant suites",
+        ("dim", "subset", "connection", "seed", "trials", "format", "out"),
+    ),
+    "homology": (
+        "Betti tables and duality witnesses",
+        ("jet_order", "subset", "format", "out"),
+    ),
+}
 
 
 def _build_parser():
@@ -83,69 +104,49 @@ def _build_parser():
         description="Exact deformation quantization of truncated Whitney-jet algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--dim", type=int, help="half-dimension n (ambient dim is 2n)")
-        p.add_argument("--jet-order", type=int, dest="jet_order")
-        p.add_argument("--fedosov-order", type=int, dest="fedosov_order")
-        p.add_argument("--hbar-order", type=int, dest="hbar_order")
-        p.add_argument("--hbar-min", type=int, dest="hbar_min")
-        p.add_argument("--subset", help="built-in subset name or JSON path")
-        p.add_argument("--connection", help="built-in connection name or JSON path")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--format", choices=("json", "text"))
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--config", help="JSON config file mirroring the flags")
-
-    p_star = sub.add_parser("star", help="print the star product of two expressions")
-    add_common(p_star)
-    p_star.add_argument("f")
-    p_star.add_argument("g")
-
-    p_verify = sub.add_parser("verify", help="run seeded invariant suites")
-    add_common(p_verify)
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=("weyl", "fedosov", "whitney", "derham", "homology", "all"),
-    )
-
-    p_hom = sub.add_parser("homology", help="Betti tables and duality witnesses")
-    add_common(p_hom)
-    p_hom.add_argument(
+    for command, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in keys:
+            setting = SETTINGS[key]
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=setting.kind,
+                choices=setting.choices, help=setting.help,
+            )
+        p.add_argument("--config", help="JSON config file with these settings; flags win")
+    sub.choices["star"].add_argument("f")
+    sub.choices["star"].add_argument("g")
+    sub.choices["verify"].add_argument("--suite", default="all", choices=(*SUITES, "all"))
+    sub.choices["homology"].add_argument(
         "--hochschild", action="store_true", help="include brute-force Hochschild dims"
     )
     return parser
 
 
 def _resolve_config(args):
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        file_cfg = read_json(args.config)
-        if not isinstance(file_cfg, dict):
+    """The settings ``args.command`` reads: defaults, then the config file,
+    then the flags, each value checked by its setting."""
+    keys = COMMANDS[args.command][1]
+    given = {}
+    if args.config:
+        given = read_json(args.config)
+        if not isinstance(given, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(given) - set(keys)
         if unknown:
-            raise JetstarError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            kind = int if type(DEFAULTS[key]) is int else str
-            if type(value) is not kind and not (value is None and DEFAULTS[key] is None):
-                raise ValidationError(f"config key {key!r} must be of type {kind.__name__}")
-        merged.update(file_cfg)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return RunConfig(command=args.command, **merged)
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    config = {key: SETTINGS[key].default for key in keys}
+    for key, value in [*given.items(), *flags.items()]:
+        config[key] = SETTINGS[key].check(key, value)
+    return argparse.Namespace(**config)
 
 
-def _resolve_subset(config):
-    if config.subset is None:
+def _resolve_subset(name):
+    if name is None:
         return None
-    if config.subset in BUILTIN_SUBSETS:
-        return builtin_subset(config.subset)
-    return load_subset_file(config.subset)
+    if name in BUILTIN_SUBSETS:
+        return builtin_subset(name)
+    return load_subset_file(name)
 
 
 def _resolve_connection(config):
@@ -158,6 +159,15 @@ def _resolve_connection(config):
             f"connection file has n={conn.half_dim}, --dim is {config.dim}"
         )
     return conn, pt
+
+
+def _report(command, config, **fields):
+    """The report header (schema, version, command and the settings read,
+    less where the report goes) followed by ``fields``."""
+    echoed = {key: value for key, value in vars(config).items() if key != "out"}
+    echoed.update(command=command, version=__version__)
+    return {"schema": SCHEMA, "version": __version__, "command": command, "config": echoed,
+            **fields}
 
 
 def _emit(report, config):
@@ -207,8 +217,14 @@ def _render_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _coefficients(series):
+    return {str(k): str(series.hbar_coefficient(k)) for k in series.hbar_orders()}
+
+
 def cmd_star(config, f_text, g_text):
-    policy = config.policy()
+    policy = TruncationPolicy(
+        config.dim, config.jet_order, config.fedosov_order, config.hbar_order, config.hbar_min
+    )
     conn, pt = _resolve_connection(config)
     fd = build_A(conn, pt, policy)
     notices = []
@@ -217,61 +233,32 @@ def cmd_star(config, f_text, g_text):
     if not (f.is_base_series() and g.is_base_series()):
         raise JetstarError("star expects base expressions (x variables and h only)")
     series = star(f, g, fd)
-    coefficients = {
-        str(k): str(series.hbar_coefficient(k)) for k in series.hbar_orders()
-    }
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "star",
-        "config": config.resolved(),
-        "f": str(f),
-        "g": str(g),
-        "series": str(series),
-        "coefficients": coefficients,
-        "notices": notices,
-        "induced": None,
-    }
-    subset = _resolve_subset(config)
+    induced = None
+    subset = _resolve_subset(config.subset)
     if subset is not None:
         if subset.dim != policy.dim:
             raise JetstarError("subset dimension does not match --dim")
         walg = WhitneyAlgebra(subset, policy)
-        induced = walg.project(f).star(walg.project(g), fd)
-        report["induced"] = {
-            str(k): str(induced.rep.hbar_coefficient(k))
-            for k in induced.rep.hbar_orders()
-        }
+        induced = _coefficients(walg.project(f).star(walg.project(g), fd).rep)
+    report = _report(
+        "star", config, f=str(f), g=str(g), series=str(series),
+        coefficients=_coefficients(series), notices=notices, induced=induced,
+    )
     _emit(report, config)
     return 0
 
 
 def cmd_verify(config, suite):
-    options = {
-        "half_dim": config.dim,
-        "seed": config.seed,
-        "trials": config.trials,
-        "policy": None,
-        "subset_names": None,
-    }
     conn, pt = _resolve_connection(config)
-    options["connection"] = conn
-    options["poisson"] = pt
-    if config.subset is not None:
-        if config.subset not in BUILTIN_SUBSETS:
-            raise JetstarError("verify suites accept built-in subset names only")
-        options["subset_names"] = [config.subset]
-    results = run_suites(suite, options)
+    results = run_suites(
+        suite, seed=config.seed, trials=config.trials, connection=conn, poisson=pt,
+        subset=config.subset,
+    )
     all_passed = all(item.passed for item in results)
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "verify",
-        "suite": suite,
-        "config": config.resolved(),
-        "results": [item.to_json() for item in results],
-        "all_passed": all_passed,
-    }
+    report = _report(
+        "verify", config, suite=suite, results=[item.to_json() for item in results],
+        all_passed=all_passed,
+    )
     _emit(report, config)
     return 0 if all_passed else 1
 
@@ -280,10 +267,7 @@ def cmd_homology(config, with_hochschild):
     names = [config.subset] if config.subset else list(BUILTIN_SUBSETS)
     subsets = []
     for name in names:
-        if name in BUILTIN_SUBSETS:
-            subset = builtin_subset(name)
-        else:
-            subset = load_subset_file(name)
+        subset = _resolve_subset(name)
         n = subset.dim // 2
         policy = TruncationPolicy(n, max(config.jet_order, subset.dim), 2, 1)
         pt = PoissonTensor.darboux(n)
@@ -314,14 +298,7 @@ def cmd_homology(config, with_hochschild):
                 entry["hochschild"] = homology.hochschild_dims(algebra, q_max)
             entry["hochschild"]["components"] = len(subset.components())
         subsets.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "homology",
-        "config": config.resolved(),
-        "subsets": subsets,
-    }
-    _emit(report, config)
+    _emit(_report("homology", config, subsets=subsets), config)
     return 0
 
 
@@ -345,13 +322,8 @@ def main(argv=None):
             return cmd_star(config, args.f, args.g)
         if args.command == "verify":
             return cmd_verify(config, args.suite)
-        if args.command == "homology":
-            return cmd_homology(config, args.hochschild)
-        raise JetstarError(f"unknown command {args.command!r}")
-    except JetstarError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        return cmd_homology(config, args.hochschild)
+    except (JetstarError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

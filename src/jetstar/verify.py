@@ -13,7 +13,7 @@ from functools import partial
 
 from . import derham, homology
 from .elements import MixedElement, TruncationPolicy, sum_of_products
-from .errors import JetstarError
+from .errors import JetstarError, ValidationError
 from .fedosov import (
     ConnectionInput,
     build_A,
@@ -46,9 +46,6 @@ from .whitney import (
     random_base_poly,
     verify_ideal_stability,
 )
-
-SUITES = ("weyl", "fedosov", "whitney", "derham", "homology")
-
 
 @dataclass
 class CheckResult:
@@ -137,12 +134,8 @@ def _scalar_form_part(a):
 # weyl suite (includes the core-algebra ring invariants)
 
 
-def suite_weyl(options):
-    n = options["half_dim"]
-    trials = options["trials"]
-    seed = options["seed"]
-    policy = TruncationPolicy(n, 6, 6, 3)
-    pt = options.get("poisson") or PoissonTensor.darboux(n)
+def suite_weyl(seed, trials, conn, pt):
+    policy = TruncationPolicy(conn.half_dim, 6, 6, 3)
     results = []
 
     check = partial(_check, results, seed, trials, "weyl", None)
@@ -257,13 +250,8 @@ def _curved_connection(half_dim):
     return ConnectionInput(half_dim, {(0, 0, 0): MixedElement.base_var(dim, 2)}, name="curved-linear")
 
 
-def suite_fedosov(options):
-    n = options["half_dim"]
-    trials = options["trials"]
-    seed = options["seed"]
-    conn = options.get("connection") or ConnectionInput.flat(n)
-    pt = options.get("poisson") or PoissonTensor.darboux(n)
-    policy = options.get("policy") or TruncationPolicy(n, 8, 8, 3)
+def suite_fedosov(seed, trials, conn, pt):
+    policy = TruncationPolicy(conn.half_dim, 8, 8, 3)
     results = []
     fd = build_A(conn, pt, policy)
     dim = policy.dim
@@ -385,10 +373,7 @@ def _whitney_env(name):
     return subset, cfg, policy, pt, fd
 
 
-def suite_whitney(options):
-    trials = options["trials"]
-    seed = options["seed"]
-    subsets = options.get("subset_names") or list(WHITNEY_CONFIGS)
+def suite_whitney(seed, trials, subsets):
     results = []
 
     for name in subsets:
@@ -522,10 +507,7 @@ DERHAM_EXPECTED = {
 }
 
 
-def suite_derham(options):
-    trials = options["trials"]
-    seed = options["seed"]
-    subsets = options.get("subset_names") or list(DERHAM_EXPECTED)
+def suite_derham(seed, trials, subsets):
     results = []
 
     for name in subsets:
@@ -619,11 +601,7 @@ def random_chain(rng, algebra, q, max_terms=3):
     return homology.ChainVector(q, terms, normalized=True)
 
 
-def suite_homology(options):
-    trials = options["trials"]
-    seed = options["seed"]
-    subsets = options.get("subset_names") or ["point", "axis"]
-    subsets = [s for s in subsets if s in ("point", "axis")] or ["point"]
+def suite_homology(seed, trials, subsets):
     results = []
 
     for name in subsets:
@@ -732,22 +710,41 @@ def suite_homology(options):
 
 
 # ----------------------------------------------------------------------
+# registry: name -> (runner, the built-in subsets it models); a runner
+# without subsets checks the connection and Poisson tensor instead
+
+SUITES = {
+    "weyl": (suite_weyl, None),
+    "fedosov": (suite_fedosov, None),
+    "whitney": (suite_whitney, tuple(WHITNEY_CONFIGS)),
+    "derham": (suite_derham, tuple(DERHAM_EXPECTED)),
+    "homology": (suite_homology, ("point", "axis")),
+}
 
 
-def run_suites(suite, options):
-    """Run one named suite (or 'all'); returns a list of CheckResults."""
-    runners = {
-        "weyl": suite_weyl,
-        "fedosov": suite_fedosov,
-        "whitney": suite_whitney,
-        "derham": suite_derham,
-        "homology": suite_homology,
-    }
-    if suite == "all":
-        out = []
-        for name in SUITES:
-            out.extend(runners[name](options))
-        return out
-    if suite not in runners:
+def run_suites(suite, *, seed, trials, connection, poisson, subset=None):
+    """Run one named suite (or 'all'); returns a list of CheckResults.
+
+    ``subset`` (None: every subset a suite models) must be modelled by each
+    selected suite that takes subsets, and some selected suite must take it.
+    """
+    if suite != "all" and suite not in SUITES:
         raise JetstarError(f"unknown suite {suite!r}")
-    return runners[suite](options)
+    names = list(SUITES) if suite == "all" else [suite]
+    if subset is not None:
+        modelled = [(name, SUITES[name][1]) for name in names if SUITES[name][1]]
+        if not modelled:
+            raise ValidationError(f"suite {suite} checks no subset")
+        for name, models in modelled:
+            if subset not in models:
+                raise ValidationError(
+                    f"suite {name} models only {', '.join(models)}, not {subset!r}"
+                )
+    results = []
+    for name in names:
+        runner, models = SUITES[name]
+        if models is None:
+            results.extend(runner(seed, trials, connection, poisson))
+        else:
+            results.extend(runner(seed, trials, [subset] if subset else list(models)))
+    return results

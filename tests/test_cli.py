@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from conftest import curved_n1_two_entries
-from jetstar import homology
+from jetstar import cli, homology
 from jetstar.cli import main
 from jetstar.fedosov import load_connection_json
 from jetstar.weyl import PoissonTensor
@@ -236,6 +239,103 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nope": 1}))
         code, _, err = run(capsys, "verify", "--suite", "weyl", "--config", str(cfg))
         assert code == 2
+
+
+# the settings each command reads; it must reject every other one
+READS = {
+    "star": {"dim", "jet_order", "fedosov_order", "hbar_order", "hbar_min", "subset",
+             "connection", "format", "out"},
+    "verify": {"dim", "subset", "connection", "seed", "trials", "format", "out"},
+    "homology": {"subset", "jet_order", "format", "out"},
+}
+ALL_SETTINGS = set().union(*READS.values())
+UNREAD = [(command, key) for command in READS for key in sorted(ALL_SETTINGS - READS[command])]
+# a cheap run of each command, and the extra options it takes
+QUICK = {
+    "star": (["--dim", "1", "x1", "x2"], set()),
+    "verify": (["--suite", "weyl", "--trials", "1"], {"--suite"}),
+    "homology": (["--subset", "point"], {"--hochschild"}),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestSettingsPerCommand:
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_each_command_accepts_exactly_its_flags(self, command):
+        sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        expected = {_flag(key) for key in READS[command]} | QUICK[command][1]
+        assert flags == expected | {"-h", "--help", "--config"}
+
+    @pytest.mark.parametrize("command,key", UNREAD)
+    def test_unread_flag_is_a_usage_error(self, command, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, _flag(key), "1", *QUICK[command][0]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", UNREAD)
+    def test_unread_config_key_exits_2(self, command, key, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, out, err = run(capsys, command, "--config", str(cfg), *QUICK[command][0])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown config keys: [{key!r}]\n"
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_report_echoes_exactly_the_settings_read(self, command, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        argv = [command, "--format", "json", "--out", str(path), *QUICK[command][0]]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        config = json.loads(path.read_text())["config"]
+        assert set(config) == READS[command] - {"out"} | {"command", "version"}
+
+    @pytest.mark.parametrize("args,file_cfg", [
+        (["--trials", "0"], None),
+        (["--trials", "-3"], None),
+        ([], {"trials": -3}),
+        ([], {"format": "xml"}),
+    ])
+    def test_flag_and_config_values_share_one_check(self, args, file_cfg, capsys, tmp_path):
+        argv = ["verify", "--suite", "weyl", *args]
+        if file_cfg is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        key = "trials" if "--trials" in args else next(iter(file_cfg))
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", ["homology", "all"])
+    def test_homology_suite_rejects_a_subset_it_cannot_model(self, suite, capsys):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--subset", "cross")
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite homology models only point, axis, not 'cross'\n"
+
+    def test_subset_for_a_suite_without_subsets_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "weyl", "--subset", "point")
+        assert code == 2
+        assert err == "error: suite weyl checks no subset\n"
+
+
+def _readme_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[0] == "jetstar"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_usage_parses(argv):
+    cli._build_parser().parse_args(argv)
 
 
 GOOD_SUBSET = {"dim": 2, "germs": [{"point": ["0", "0"], "directions": []}]}
